@@ -1,7 +1,8 @@
 // GPT-style causal language model: embedding + a stack of causal encoder
 // blocks + tied LM head + softmax cross-entropy, trained to memorize a
 // synthetic token sequence. Demonstrates the paper's claim that decoder
-// models (GPT-2/3) reuse the same building blocks (Sec. VIII).
+// models (GPT-2/3) reuse the same building blocks (Sec. VIII). The block
+// stack runs as one planned graph over one slab (MakeStackArena).
 //
 //   ./gpt_decoder [--layers=2] [--steps=40] [--vocab=17] [--threads=N]
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include "common/strings.hpp"
 #include "common/threadpool.hpp"
 #include "tensor/einsum.hpp"
+#include "transformer/arena.hpp"
 #include "transformer/embedding.hpp"
 #include "transformer/stack.hpp"
 #include "transformer/training.hpp"
@@ -43,6 +45,8 @@ int main(int argc, char** argv) {
 
   // fp32 model end to end for a stable toy optimization.
   EncoderStackT<float> stack(cfg, layers, 5);
+  auto arena = MakeStackArena<float>(cfg, {.num_layers = layers});
+  std::vector<EncoderGradientsT<float>> grads;
   EmbeddingT<float> embedding(vocab, dims, 11);
 
   // Task: next-token prediction on a fixed periodic sequence.
@@ -64,7 +68,8 @@ int main(int argc, char** argv) {
       workings.emplace(name, param.Cast<Half>());
     }
     opt.Step(name, masters.at(name), workings.at(name), grad.Cast<Half>());
-    param = masters.at(name);
+    // In place: the stack's executor holds the layer weights by reference.
+    CopyValuesInto(masters.at(name), param);
   };
 
   std::printf("GPT-style decoder: %d layers, vocab %ld, %d steps\n", layers,
@@ -72,9 +77,9 @@ int main(int argc, char** argv) {
   double first = 0, last = 0;
   for (int step = 0; step < steps; ++step) {
     auto x = embedding.Forward(tokens);
-    std::vector<EncoderActivationsT<float>> acts;
-    stack.Forward(x, acts);
-    auto logits = LmLogits(embedding.token_table(), acts.back().y);
+    // y and d_x are arena views, valid until the next step.
+    const TensorF& y = stack.Forward(x, arena);
+    auto logits = LmLogits(embedding.token_table(), y);
     TensorF d_logits(logits.shape());
     const double loss = SoftmaxCrossEntropy(logits, targets, d_logits);
     if (step == 0) first = loss;
@@ -84,10 +89,8 @@ int main(int argc, char** argv) {
     // Backward: head -> stack -> embedding (head/embedding tied).
     auto d_y = Einsum<float>("vi,vbj->ibj", embedding.token_table(),
                              d_logits);
-    auto d_table_head =
-        Einsum<float>("vbj,ibj->vi", d_logits, acts.back().y);
-    std::vector<EncoderGradientsT<float>> grads;
-    auto d_x = stack.Backward(d_y, acts, grads);
+    auto d_table_head = Einsum<float>("vbj,ibj->vi", d_logits, y);
+    const TensorF& d_x = stack.Backward(d_y, arena, grads);
     TensorF d_table_emb(embedding.token_table().shape());
     TensorF d_pos(embedding.pos_table().shape());
     embedding.Backward(d_x, tokens, d_table_emb, d_pos);

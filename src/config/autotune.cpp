@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "config/selection.hpp"
@@ -31,8 +32,10 @@ std::mutex& CacheMutex() {
   return mu;
 }
 
-std::map<ShapeBucket, TunedEntry>& Cache() {
-  static std::map<ShapeBucket, TunedEntry> cache;
+/// A bucket maps to nullopt from the moment a caller claims it until that
+/// caller publishes the tuned entry.
+std::map<ShapeBucket, std::optional<TunedEntry>>& Cache() {
+  static std::map<ShapeBucket, std::optional<TunedEntry>> cache;
   return cache;
 }
 
@@ -91,16 +94,20 @@ TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
                     AutotuneMode mode) {
   if (mode == AutotuneMode::kOff) return TunedEntry{};
 
-  // The lock is held across tuning so a bucket is tuned exactly once
-  // even when the task scheduler dispatches two same-bucket contractions
-  // concurrently: the loser blocks, then hits the cache. Measurement
-  // under the lock cannot deadlock -- the pool's waiters execute their
-  // own pending tasks.
-  const std::lock_guard<std::mutex> lock(CacheMutex());
-  auto& cache = Cache();
-  if (const auto it = cache.find(bucket); it != cache.end()) {
-    memstats::RecordAutotuneHit();
-    return it->second;
+  // Look up or claim the bucket under the lock, then tune without it: a
+  // measuring thread's pool wait may steal another contraction step that
+  // re-enters Autotune on this same thread. Each bucket is still tuned
+  // exactly once. A caller that finds the bucket claimed but not yet
+  // filled runs the built-in heuristic instead of waiting -- every knob is
+  // numerics-free, so only that one launch's speed differs.
+  {
+    const std::lock_guard<std::mutex> lock(CacheMutex());
+    const auto [it, claimed] = Cache().try_emplace(bucket);
+    if (!claimed) {
+      if (!it->second.has_value()) return TunedEntry{};
+      memstats::RecordAutotuneHit();
+      return *it->second;
+    }
   }
 
   TunedEntry entry;
@@ -114,20 +121,28 @@ TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
   const auto candidates = ExecCandidates(bucket);
   entry.exec = candidates.front();
   if (mode == AutotuneMode::kMeasure && measure) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& cand : candidates) {
-      // Best-of-two damps scheduler noise; every candidate computes the
-      // same bits, so re-running the contraction is side-effect-free.
-      const double t = std::min(measure(cand), measure(cand));
-      if (t < best) {
-        best = t;
-        entry.exec = cand;
+    try {
+      double best = std::numeric_limits<double>::infinity();
+      for (const auto& cand : candidates) {
+        // Best-of-two damps scheduler noise; every candidate computes the
+        // same bits, so re-running the contraction is side-effect-free.
+        const double t = std::min(measure(cand), measure(cand));
+        if (t < best) {
+          best = t;
+          entry.exec = cand;
+        }
       }
+    } catch (...) {
+      // Release the claim so a later dispatch can tune the bucket.
+      const std::lock_guard<std::mutex> lock(CacheMutex());
+      Cache().erase(bucket);
+      throw;
     }
     entry.measured = true;
   }
   memstats::RecordAutotuneMeasure();
-  cache.emplace(bucket, entry);
+  const std::lock_guard<std::mutex> lock(CacheMutex());
+  Cache()[bucket] = entry;
   return entry;
 }
 

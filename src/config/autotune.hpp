@@ -74,7 +74,10 @@ using MeasureFn = std::function<double(const EinsumExecConfig&)>;
 /// the cache entirely). In kMeasure mode with a non-null `measure`, the
 /// candidate strategies are timed once and the fastest wins; otherwise
 /// the deterministic sim-ranked default wins. Cache fills are metered
-/// via memstats::autotune_measures, warm lookups via autotune_hits.
+/// via memstats::autotune_measures, warm lookups via autotune_hits. The
+/// cache lock is not held while tuning, so `measure` may re-enter
+/// Autotune; a lookup of a bucket whose tuning is still in flight (on any
+/// thread) returns the built-in heuristic without waiting or counting.
 TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
                     AutotuneMode mode);
 TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure);

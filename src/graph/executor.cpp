@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <iterator>
 #include <stdexcept>
 #include <utility>
@@ -60,19 +58,6 @@ char ReduceDim(const OpNode& op) {
 }
 
 }  // namespace
-
-bool TaskSchedulerDefault() {
-  static const bool value = [] {
-    const char* env = std::getenv("XFLOW_TASK_SCHED");
-    if (env == nullptr || *env == '\0') return true;
-    std::string v(env);
-    for (char& c : v) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    return v != "0" && v != "false" && v != "off" && v != "no";
-  }();
-  return value;
-}
 
 template <typename T>
 bool GraphExecutorT<T>::IsBackwardKind(OpKind kind) {
@@ -486,8 +471,7 @@ void GraphExecutorT<T>::Backward() {
 
 template <typename T>
 void GraphExecutorT<T>::RunRange(int begin_step, int end_step) {
-  if (options_.use_task_scheduler && end_step - begin_step > 1 &&
-      ThreadPool::Global().threads() > 1) {
+  if (end_step - begin_step > 1 && ThreadPool::Global().threads() > 1) {
     RunRangeConcurrent(begin_step, end_step);
     return;
   }

@@ -21,16 +21,18 @@
 //
 // With `use_fused_kernels` the schedule comes from fusion::FuseMaximally:
 // recognized multi-op kernels (DRLN/BDRLN, BRD, BLNRD, BDRB, EBSB)
-// dispatch as one fused launch -- the same launches the hand-wired layer
-// performs -- so executor results are bitwise identical to the hand-wired
-// path at every thread count. Steady-state Run calls perform zero tensor
-// or workspace allocations: all views are non-owning aliases.
+// dispatch as one fused launch -- the same launches the owning reference
+// layer (transformer/encoder.hpp) performs -- so executor results are
+// bitwise identical to the owning reference at every thread count.
+// Steady-state Run calls perform zero tensor or workspace allocations: all
+// views are non-owning aliases.
 //
-// With `use_task_scheduler` the schedule additionally runs *concurrently*:
-// BuildSchedule derives a step-level dependency DAG (an edge whenever two
-// steps touch a common container and at least one writes it, plus a
-// planned-byte-overlap safety net), and RunRange dispatches every
-// dependency-free step as a TaskGroup task over the work-stealing pool.
+// The schedule runs *concurrently*: BuildSchedule derives a step-level
+// dependency DAG (an edge whenever two steps touch a common container and
+// at least one writes it, plus a planned-byte-overlap safety net), and
+// RunRange dispatches every dependency-free step as a TaskGroup task over
+// the work-stealing pool (an in-order loop when the pool has one thread or
+// the range one step).
 // Independent graph branches -- the attention head and the residual leg,
 // the mutually independent dW/dX gradients -- overlap, while each step's
 // internal ParallelFor splits across the remaining workers (nested groups
@@ -62,22 +64,12 @@ class TaskGroup;  // common/threadpool.hpp
 
 namespace xflow::graph {
 
-/// Default for ExecutorOptions::use_task_scheduler: the XFLOW_TASK_SCHED
-/// environment variable when set (1/true/on/yes enables, 0/false/off/no
-/// disables, case-insensitive), otherwise on. Read once per process.
-bool TaskSchedulerDefault();
-
 /// Runtime attributes the graph does not carry: the scalar knobs of the
 /// softmax/layernorm/dropout kernels and the dropout seed schedule.
 struct ExecutorOptions {
   /// Dispatch recognized multi-op groups as the paper's fused kernels;
   /// otherwise every op runs as its own kernel launch.
   bool use_fused_kernels = true;
-  /// Run dependency-free schedule steps concurrently on the global
-  /// work-stealing pool (see the header comment). Bitwise identical to
-  /// serial execution; falls back to the serial loop on a single-thread
-  /// pool.
-  bool use_task_scheduler = TaskSchedulerDefault();
   /// Causal (decoder-style) attention masking inside the SM kernel.
   bool causal = false;
   float dropout_prob = 0.0f;
@@ -97,7 +89,7 @@ struct ExecutorOptions {
 };
 
 /// Interprets a DataflowGraph over a planned Workspace slab. `plan` and
-/// `workspace` (typically a LayerArenaT's) must outlive the executor and
+/// `workspace` (typically a StackArenaT's) must outlive the executor and
 /// the workspace must already be reserved to plan->peak_bytes().
 template <typename T>
 class GraphExecutorT {

@@ -8,67 +8,6 @@
 namespace xflow::transformer {
 
 template <typename T>
-LayerArenaT<T>::LayerArenaT(const graph::DataflowGraph& graph,
-                            graph::PlanOptions options)
-    : LayerArenaT(graph::PlanMemory(graph, options)) {}
-
-template <typename T>
-LayerArenaT<T>::LayerArenaT(graph::MemoryPlan plan) : plan_(std::move(plan)) {
-  workspace_.Reserve(plan_.peak_bytes());
-}
-
-template <typename T>
-graph::PlanOptions EncoderPlanOptions() {
-  graph::PlanOptions options;
-  options.default_elem_bytes = sizeof(T);
-  options.elem_bytes = [](const graph::TensorNode& t) -> std::size_t {
-    // Layernorm statistics stay fp32 regardless of the activation type.
-    if (t.name.ends_with("_mean") || t.name.ends_with("_rstd")) {
-      return sizeof(float);
-    }
-    return sizeof(T);
-  };
-  options.groups = {{"qkv_proj", {"qq", "kk", "vv"}},
-                    {"d_qkv_proj", {"d_qq", "d_kk", "d_vv"}}};
-  // Backward takes d_y by reference; it never lives in the arena.
-  options.exclude = {"d_y"};
-  // The multi-op fused kernels (DRLN/BRD/BDRLN forward; BLNRD/BDRB/EBSB
-  // backward): each reads its span's inputs while writing its outputs, so
-  // the planner must not recycle one into the other. One plan serves both
-  // execution styles -- the unfused pipeline only under-uses the spans.
-  options.fused_spans = {
-      {"output bias", "attn dropout", "residual 1", "layernorm 1"},
-      {"bias 1", "relu", "ff dropout"},
-      {"bias 2", "ff2 dropout", "residual 2", "layernorm 2"},
-      {"layernorm 2 dX", "ff2 dropout dX"},
-      {"bias 2 dW", "ff dropout dX", "relu dX", "bias 1 dW"},
-      {"residual 2 bwd", "layernorm 1 dW"},
-      {"layernorm 1 dX", "attn dropout dX"},
-  };
-  return options;
-}
-
-template <typename T>
-LayerArenaT<T> MakeEncoderArena(const EncoderConfig& config) {
-  const auto graph = graph::BuildEncoder(
-      config.dims, graph::AlgebraicFusion::kQKV, /*include_backward=*/true);
-  return LayerArenaT<T>(graph, EncoderPlanOptions<T>());
-}
-
-template <typename T>
-LayerArenaT<T> MakeMhaArena(const MhaConfig& config) {
-  graph::PlanOptions options;
-  options.default_elem_bytes = sizeof(T);
-  // The full forward+backward graph is modeled, so saved activations live
-  // exactly until the backward op that consumes them and the backward
-  // temporaries (d_gamma, d_beta, ...) share recycled bytes. Backward
-  // takes d_out by reference; it never lives in the arena.
-  options.exclude = {"d_out"};
-  const auto graph = graph::BuildMha(config.dims, /*include_backward=*/true);
-  return LayerArenaT<T>(graph, std::move(options));
-}
-
-template <typename T>
 graph::PlanOptions StackPlanOptions(const graph::DataflowGraph& graph) {
   graph::PlanOptions options;
   options.default_elem_bytes = sizeof(T);
@@ -84,11 +23,16 @@ graph::PlanOptions StackPlanOptions(const graph::DataflowGraph& graph) {
     }
     return sizeof(T);
   };
-  // Per-layer stacked Q/K/V projections, plus the recompute clones of
-  // checkpointed layers (the clone contraction writes the "@r" stack
-  // exactly as the original wrote the stored one).
+  // Stacked Q/K/V projections: unprefixed for a single-layer graph, one
+  // "L<l>." set per stack layer, plus the recompute clones of checkpointed
+  // layers (the clone contraction writes the "@r" stack exactly as the
+  // original wrote the stored one).
+  std::vector<std::string> prefixes;
+  if (graph.HasTensor("qq")) prefixes.emplace_back();
   for (int l = 0; graph.HasTensor(StrFormat("L%d.qq", l)); ++l) {
-    const std::string p = StrFormat("L%d.", l);
+    prefixes.push_back(StrFormat("L%d.", l));
+  }
+  for (const std::string& p : prefixes) {
     options.groups.push_back(
         {p + "qkv_proj", {p + "qq", p + "kk", p + "vv"}});
     options.groups.push_back(
@@ -139,19 +83,11 @@ StackArenaT<T> MakeStackArena(const EncoderConfig& config,
         memory_budget_bytes));
   }
   auto graph = graph::BuildEncoderStack(config.dims, options);
-  auto plan_options = StackPlanOptions<T>(graph);
-  return StackArenaT<T>(std::move(graph), std::move(plan_options),
+  const auto plan_options = StackPlanOptions<T>(graph);
+  return StackArenaT<T>(std::move(graph), plan_options,
                         std::move(options.recompute_layers));
 }
 
-template class LayerArenaT<Half>;
-template class LayerArenaT<float>;
-template graph::PlanOptions EncoderPlanOptions<Half>();
-template graph::PlanOptions EncoderPlanOptions<float>();
-template LayerArenaT<Half> MakeEncoderArena<Half>(const EncoderConfig&);
-template LayerArenaT<float> MakeEncoderArena<float>(const EncoderConfig&);
-template LayerArenaT<Half> MakeMhaArena<Half>(const MhaConfig&);
-template LayerArenaT<float> MakeMhaArena<float>(const MhaConfig&);
 template graph::PlanOptions StackPlanOptions<Half>(const graph::DataflowGraph&);
 template graph::PlanOptions StackPlanOptions<float>(
     const graph::DataflowGraph&);

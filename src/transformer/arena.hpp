@@ -1,39 +1,70 @@
-// Per-layer planned arenas: bind a layer's activation/gradient structs to
-// one of these and every saved activation, mask and backward temporary
-// becomes a fixed-offset view into a single liveness-planned slab (see
-// graph/memory_plan.hpp). Steady-state Forward/Backward then perform zero
-// tensor allocations, and peak activation memory follows the plan instead
-// of the naive sum-of-tensors.
+// The planned execution path's storage: one dataflow graph, its
+// liveness plan (graph/memory_plan.hpp) and the single slab that plan
+// lays out. Every activation, mask and backward temporary of a training
+// step is a fixed-offset view into that slab, so steady-state steps
+// perform zero tensor allocations and peak activation memory follows the
+// plan instead of the naive sum-of-tensors.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/strings.hpp"
 #include "graph/checkpoint.hpp"
 #include "graph/memory_plan.hpp"
 #include "tensor/workspace.hpp"
 #include "transformer/encoder.hpp"
-#include "transformer/mha.hpp"
 
 namespace xflow::transformer {
 
-/// One layer instance's slab. Views are requested by graph container
-/// name; the caller supplies the runtime shape, which may relabel dims
-/// (the paper's j->k / p->w renames) but must match the planned byte
-/// size. Element type per view lets fp32 layernorm statistics coexist
-/// with fp16 activations in one slab.
+/// Plan options for a `Tensor<T>` encoder graph -- a single layer
+/// (graph::BuildEncoder) or a whole stack (graph::BuildEncoderStack):
+/// activations take sizeof(T) bytes, the fp32 layernorm statistics and
+/// loss scalar 4 (the "@r" recompute-clone suffix does not hide the
+/// statistic suffix); the stacked Q/K/V blocks of every layer (unprefixed
+/// for a single layer, "L<l>." per stack layer, recompute clones
+/// included) are grouped so the algebraically fused projections and the
+/// [dQ~ dK~ dV~] gradient stack read/write one contiguous tensor; and the
+/// fused spans are derived from the fusion pass itself so every
+/// recognized multi-op kernel -- cross-layer EBSB merges and
+/// checkpoint-clone chains included -- is planned as one atomic span.
 template <typename T>
-class LayerArenaT {
- public:
-  LayerArenaT(const graph::DataflowGraph& graph, graph::PlanOptions options);
-  /// Adopts an already computed plan (layers of one stack share a plan --
-  /// same dims, same graph -- but each needs its own slab because its
-  /// saved activations must survive until its backward runs).
-  explicit LayerArenaT(graph::MemoryPlan plan);
+graph::PlanOptions StackPlanOptions(const graph::DataflowGraph& graph);
 
+/// One slab for an entire training step: the graph, its plan, and the
+/// checkpoint decisions that shaped it. Every layer's activations and
+/// gradients live in this single liveness-planned workspace, so
+/// transients of different layers overlap whenever their
+/// store-until-backward windows permit.
+template <typename T>
+class StackArenaT {
+ public:
+  StackArenaT(graph::DataflowGraph graph, const graph::PlanOptions& options,
+              std::vector<int> recompute_layers = {})
+      : graph_(std::move(graph)),
+        plan_(graph::PlanMemory(graph_, options)),
+        recompute_layers_(std::move(recompute_layers)) {
+    std::sort(recompute_layers_.begin(), recompute_layers_.end());
+    workspace_.Reserve(plan_.peak_bytes());
+  }
+  /// Adopts a checkpoint-aware plan (graph/checkpoint.hpp).
+  explicit StackArenaT(graph::CheckpointedStackPlan plan)
+      : graph_(std::move(plan.graph)),
+        plan_(std::move(plan.plan)),
+        recompute_layers_(std::move(plan.recompute_layers)),
+        decisions_(std::move(plan.decisions)),
+        recompute_seconds_(plan.recompute_seconds) {
+    workspace_.Reserve(plan_.peak_bytes());
+  }
+
+  /// A view of container `name` at its planned offset. The caller
+  /// supplies the runtime shape, which may relabel dims (the paper's
+  /// j->k / p->w renames) but must match the planned byte size; the
+  /// element type per view lets fp32 layernorm statistics coexist with
+  /// fp16 activations in one slab.
   template <typename U>
   [[nodiscard]] Tensor<U> ViewAs(const std::string& name, Shape shape) {
     const graph::TensorPlacement& p = plan_.at(name);
@@ -44,90 +75,9 @@ class LayerArenaT {
     return workspace_.ViewAt<U>(p.offset, std::move(shape));
   }
 
+  [[nodiscard]] const graph::DataflowGraph& graph() const { return graph_; }
   [[nodiscard]] const graph::MemoryPlan& plan() const { return plan_; }
   [[nodiscard]] Workspace& workspace() { return workspace_; }
-
- private:
-  graph::MemoryPlan plan_;
-  Workspace workspace_;
-};
-
-/// Arena-or-owning storage resolution, shared by the layer Forward and
-/// Backward implementations. With an arena, `slot` becomes a view at the
-/// container's planned offset; without one, owning storage is reused via
-/// EnsureShape. Either way the caller overwrites the contents.
-template <typename U, typename T>
-Tensor<U>& BindSlot(LayerArenaT<T>* arena, Tensor<U>& slot,
-                    const std::string& name, const Shape& shape) {
-  if (arena != nullptr) {
-    slot = arena->template ViewAs<U>(name, shape);
-  } else {
-    slot.EnsureShape(shape);
-  }
-  return slot;
-}
-
-/// Same resolution for a temporary that lives only inside one call.
-template <typename T>
-[[nodiscard]] Tensor<T> AcquireTemp(LayerArenaT<T>* arena,
-                                    const std::string& name,
-                                    const Shape& shape) {
-  return arena != nullptr ? arena->template ViewAs<T>(name, shape)
-                          : Tensor<T>(shape);
-}
-
-/// Plan options for a `Tensor<T>` transformer layer: activations take
-/// sizeof(T) bytes, the fp32 layernorm statistics 4, and the stacked
-/// Q/K/V blocks are grouped so the algebraically fused projections (and
-/// the [dQ~ dK~ dV~] gradient stack) read/write one contiguous tensor.
-template <typename T>
-graph::PlanOptions EncoderPlanOptions();
-
-/// Arena for one EncoderLayerT (full forward+backward graph, Fig. 2).
-template <typename T>
-LayerArenaT<T> MakeEncoderArena(const EncoderConfig& config);
-
-/// Arena for one MhaLayerT step (Fig. 1 graph, forward + backward): bind
-/// both MhaActivationsT::arena and MhaGradientsT::arena to it.
-template <typename T>
-LayerArenaT<T> MakeMhaArena(const MhaConfig& config);
-
-/// Plan options for a whole-stack graph (graph::BuildEncoderStack):
-/// per-layer "L<l>." Q/K/V groups (recompute "@r" clones included), element
-/// sizes that see through the "@r" suffix (fp32 layernorm statistics and
-/// loss scalar), and fused spans derived from the fusion pass itself so
-/// every recognized multi-op kernel -- cross-layer EBSB merges and
-/// checkpoint-clone chains included -- is planned as one atomic span.
-template <typename T>
-graph::PlanOptions StackPlanOptions(const graph::DataflowGraph& graph);
-
-/// One slab for an entire training step: the whole-stack graph, its plan,
-/// and the checkpoint decisions that shaped it. Unlike per-layer arenas
-/// (one slab per layer), every layer's activations and gradients live in
-/// this single liveness-planned workspace, so transients of different
-/// layers overlap whenever their store-until-backward windows permit.
-template <typename T>
-class StackArenaT {
- public:
-  StackArenaT(graph::DataflowGraph graph, graph::PlanOptions options,
-              std::vector<int> recompute_layers = {})
-      : graph_(std::move(graph)),
-        arena_(graph_, std::move(options)),
-        recompute_layers_(std::move(recompute_layers)) {
-    std::sort(recompute_layers_.begin(), recompute_layers_.end());
-  }
-  /// Adopts a checkpoint-aware plan (graph/checkpoint.hpp).
-  explicit StackArenaT(graph::CheckpointedStackPlan plan)
-      : graph_(std::move(plan.graph)),
-        arena_(std::move(plan.plan)),
-        recompute_layers_(std::move(plan.recompute_layers)),
-        decisions_(std::move(plan.decisions)),
-        recompute_seconds_(plan.recompute_seconds) {}
-
-  [[nodiscard]] const graph::DataflowGraph& graph() const { return graph_; }
-  [[nodiscard]] LayerArenaT<T>& arena() { return arena_; }
-  [[nodiscard]] const graph::MemoryPlan& plan() const { return arena_.plan(); }
-  [[nodiscard]] Workspace& workspace() { return arena_.workspace(); }
   /// Layers whose forward re-executes inside backward (sorted ascending);
   /// empty when nothing is checkpointed.
   [[nodiscard]] const std::vector<int>& recompute_layers() const {
@@ -142,7 +92,8 @@ class StackArenaT {
 
  private:
   graph::DataflowGraph graph_;
-  LayerArenaT<T> arena_;
+  graph::MemoryPlan plan_;
+  Workspace workspace_;
   std::vector<int> recompute_layers_;
   std::vector<graph::ActivationDecision> decisions_;
   double recompute_seconds_ = 0;
@@ -158,15 +109,6 @@ StackArenaT<T> MakeStackArena(const EncoderConfig& config,
                               graph::StackGraphOptions options,
                               std::size_t memory_budget_bytes = 0);
 
-extern template class LayerArenaT<Half>;
-extern template class LayerArenaT<float>;
-extern template graph::PlanOptions EncoderPlanOptions<Half>();
-extern template graph::PlanOptions EncoderPlanOptions<float>();
-extern template LayerArenaT<Half> MakeEncoderArena<Half>(const EncoderConfig&);
-extern template LayerArenaT<float> MakeEncoderArena<float>(
-    const EncoderConfig&);
-extern template LayerArenaT<Half> MakeMhaArena<Half>(const MhaConfig&);
-extern template LayerArenaT<float> MakeMhaArena<float>(const MhaConfig&);
 extern template graph::PlanOptions StackPlanOptions<Half>(
     const graph::DataflowGraph&);
 extern template graph::PlanOptions StackPlanOptions<float>(

@@ -1,18 +1,14 @@
 #include "transformer/encoder.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "common/rng.hpp"
-#include "graph/executor.hpp"
 #include "ops/elementwise.hpp"
 #include "ops/fused.hpp"
 #include "ops/layernorm.hpp"
 #include "ops/softmax.hpp"
 #include "tensor/einsum.hpp"
-#include "transformer/arena.hpp"
 
 namespace xflow::transformer {
 
@@ -34,7 +30,7 @@ std::uint64_t SiteSeed(std::uint64_t seed, DropoutSite site) {
 
 /// The layer's contractions, parsed once per process: steady-state steps
 /// must not re-parse specs (or allocate output tensors -- every call site
-/// uses EinsumInto with planned or reused storage).
+/// uses EinsumInto with reused storage).
 struct EncoderSpecs {
   EinsumSpec qkv = EinsumSpec::Parse("phi,ibj->phbj");
   EinsumSpec qkt = EinsumSpec::Parse("phbk,phbj->hbjk");
@@ -66,19 +62,6 @@ const EncoderSpecs& S() {
 std::vector<std::uint64_t> EncoderDropoutSeeds(std::uint64_t layer_seed) {
   return {SiteSeed(layer_seed, kAttnSoftmax), SiteSeed(layer_seed, kAttnOutput),
           SiteSeed(layer_seed, kFeedForward), SiteSeed(layer_seed, kOutput)};
-}
-
-bool GraphExecutorDefault() {
-  static const bool value = [] {
-    const char* env = std::getenv("XFLOW_GRAPH_EXEC");
-    if (env == nullptr || *env == '\0') return false;
-    std::string v(env);
-    for (char& c : v) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    return v != "0" && v != "false" && v != "off" && v != "no";
-  }();
-  return value;
 }
 
 template <typename T>
@@ -141,123 +124,8 @@ EncoderLayerT<T>::EncoderLayerT(EncoderConfig config, EncoderParamsT<T> params)
     : config_(std::move(config)), params_(std::move(params)) {}
 
 template <typename T>
-EncoderLayerT<T>::EncoderLayerT(EncoderLayerT&&) noexcept = default;
-template <typename T>
-EncoderLayerT<T>& EncoderLayerT<T>::operator=(EncoderLayerT&&) noexcept =
-    default;
-template <typename T>
-EncoderLayerT<T>::~EncoderLayerT() = default;
-
-template <typename T>
-graph::GraphExecutorT<T>& EncoderLayerT<T>::Executor(
-    LayerArenaT<T>& arena) const {
-  if (executor_ == nullptr || executor_arena_ != &arena ||
-      executor_slab_ != arena.workspace().data()) {
-    const auto& d = config_.dims;
-    graph::ExecutorOptions opts;
-    opts.use_fused_kernels = config_.use_fused_kernels;
-    opts.use_task_scheduler = config_.use_task_scheduler;
-    opts.causal = config_.causal;
-    opts.dropout_prob = config_.dropout_prob;
-    opts.ln_eps = config_.ln_eps;
-    opts.attn_scale = 1.0f / std::sqrt(static_cast<float>(d.p));
-    // Per-site Philox streams, in dropout-op graph order: SM's attention
-    // dropout, the attention-output dropout, the two feed-forward ones.
-    opts.dropout_seeds = {SiteSeed(config_.seed, kAttnSoftmax),
-                          SiteSeed(config_.seed, kAttnOutput),
-                          SiteSeed(config_.seed, kFeedForward),
-                          SiteSeed(config_.seed, kOutput)};
-    opts.stacked = EncoderPlanOptions<T>().groups;
-    executor_ = std::make_unique<graph::GraphExecutorT<T>>(
-        graph::BuildEncoder(d, graph::AlgebraicFusion::kQKV,
-                            /*include_backward=*/true),
-        &arena.plan(), &arena.workspace(), std::move(opts));
-    executor_arena_ = &arena;
-    executor_slab_ = arena.workspace().data();
-    // Weights are stable across steps: bind them once per executor.
-    auto& self = const_cast<EncoderLayerT<T>&>(*this);
-    for (auto& [name, tensor] : self.params_.Named()) {
-      executor_->BindInput(name, *tensor);
-    }
-  }
-  return *executor_;
-}
-
-template <typename T>
-void EncoderLayerT<T>::ExecutorForward(const Tensor<T>& x,
-                                       EncoderActivationsT<T>& acts) const {
-  const auto& d = config_.dims;
-  auto& ex = Executor(*acts.arena);
-  ex.BindInput("x", x);
-  ex.Forward();
-  // Expose the saved activations as arena views under the same dim names
-  // the hand-wired path uses (the j->k / p->w renames of the paper).
-  LayerArenaT<T>* ar = acts.arena;
-  const Shape ibj("ibj", {d.i, d.b, d.j});
-  // The executor reads the caller's x by reference, but acts.x is still
-  // populated (the plan pins a slot for it) so a hand-wired Backward on
-  // an owning gradients struct keeps working after an executor Forward.
-  acts.x = ar->template ViewAs<T>("x", x.shape());
-  CopyValuesInto(x, acts.x);
-  const Shape ubj("ubj", {d.u, d.b, d.j});
-  const Shape hbjk("hbjk", {d.h, d.b, d.j, d.k});
-  const Shape bj("bj", {d.b, d.j});
-  acts.qq_b = ar->template ViewAs<T>("qq_b",
-                                     Shape("phbj", {d.p, d.h, d.b, d.j}));
-  acts.kk_b = ar->template ViewAs<T>("kk_b",
-                                     Shape("phbk", {d.p, d.h, d.b, d.k}));
-  acts.vv_b = ar->template ViewAs<T>("vv_b",
-                                     Shape("whbk", {d.p, d.h, d.b, d.k}));
-  acts.alpha = ar->template ViewAs<T>("alpha", hbjk);
-  acts.attn_mask = ar->template ViewAs<T>("attn_mask", hbjk);
-  acts.softmax_saved = ar->template ViewAs<T>("softmax_saved", hbjk);
-  acts.gamma_t = ar->template ViewAs<T>("gamma_t",
-                                        Shape("whbj", {d.p, d.h, d.b, d.j}));
-  acts.attn_drop_mask = ar->template ViewAs<T>("attn_drop_mask", ibj);
-  acts.resid1 = ar->template ViewAs<T>("resid1", ibj);
-  acts.ln1_mean = ar->template ViewAs<float>("ln1_mean", bj);
-  acts.ln1_rstd = ar->template ViewAs<float>("ln1_rstd", bj);
-  acts.ln1_out = ar->template ViewAs<T>("ln1_out", ibj);
-  acts.relu1 = ar->template ViewAs<T>("relu1", ubj);
-  acts.ff_dropped = ar->template ViewAs<T>("ff_dropped", ubj);
-  acts.ff_drop_mask = ar->template ViewAs<T>("ff_drop_mask", ubj);
-  acts.lin2_drop_mask = ar->template ViewAs<T>("lin2_drop_mask", ibj);
-  acts.resid2 = ar->template ViewAs<T>("resid2", ibj);
-  acts.ln2_mean = ar->template ViewAs<float>("ln2_mean", bj);
-  acts.ln2_rstd = ar->template ViewAs<float>("ln2_rstd", bj);
-  acts.y = ar->template ViewAs<T>("y", ibj);
-}
-
-template <typename T>
-void EncoderLayerT<T>::ExecutorBackward(const Tensor<T>& d_y,
-                                        const EncoderActivationsT<T>& /*acts*/,
-                                        EncoderGradientsT<T>& grads) const {
-  // The activations already live at their planned offsets in the arena
-  // the executor is bound to; only d_y and the weight-gradient
-  // accumulators need (re)binding.
-  const auto& d = config_.dims;
-  auto& gp = grads.params;
-  gp.EnsureShapes(d);  // accumulators; the executor overwrites every entry
-  require(executor_ != nullptr && grads.arena == executor_arena_,
-          "executor Backward needs the arena ExecutorForward ran on (bind "
-          "acts and grads to the same arena)");
-  auto& ex = Executor(*grads.arena);
-  ex.BindInput("d_y", d_y);
-  for (auto& [name, tensor] : gp.Named()) {
-    ex.BindOutput("d_" + name, *tensor);
-  }
-  ex.Backward();
-  grads.d_x =
-      grads.arena->template ViewAs<T>("d_x", Shape("ibj", {d.i, d.b, d.j}));
-}
-
-template <typename T>
 const Tensor<T>& EncoderLayerT<T>::Forward(const Tensor<T>& x,
                                            EncoderActivationsT<T>& acts) const {
-  if (config_.use_graph_executor && acts.arena != nullptr) {
-    ExecutorForward(x, acts);
-    return acts.y;
-  }
   const auto& d = config_.dims;
   const float attn_scale = 1.0f / std::sqrt(static_cast<float>(d.p));
   const DropoutMask attn_sm_mask(SiteSeed(config_.seed, kAttnSoftmax),
@@ -276,38 +144,29 @@ const Tensor<T>& EncoderLayerT<T>::Forward(const Tensor<T>& x,
   const Shape phbj3("phbj", {3 * d.p, d.h, d.b, d.j});
   const Shape bj("bj", {d.b, d.j});
 
-  // Saved activations and temporaries come from the bound arena (views at
-  // planned offsets) or from owning buffers that EnsureShape reuses
-  // across steps; either way the kernels below overwrite them fully.
-  LayerArenaT<T>* ar = acts.arena;
-  auto slot = [ar](Tensor<T>& t, const char* name,
-                   const Shape& shape) -> Tensor<T>& {
-    return BindSlot(ar, t, name, shape);
-  };
-  auto stat = [ar](TensorF& t, const char* name,
-                   const Shape& shape) -> TensorF& {
-    return BindSlot(ar, t, name, shape);
-  };
-  auto tmp = [ar](const char* name, const Shape& shape) -> Tensor<T> {
-    return AcquireTemp(ar, name, shape);
+  // Saved activations are owning buffers that EnsureShape reuses across
+  // steps; the kernels below overwrite them fully.
+  auto slot = [](auto& t, const Shape& shape) -> auto& {
+    t.EnsureShape(shape);
+    return t;
   };
 
   // The input is saved for the backward dW contractions.
-  CopyValuesInto(x, slot(acts.x, "x", x.shape()));
+  CopyValuesInto(x, slot(acts.x, x.shape()));
 
   // Q,K,V: one stacked GEMM (algebraic fusion, Sec. IV-D). The three
   // projections are contiguous sub-blocks of the stacked output, so the
   // split is a zero-copy view.
-  Tensor<T> proj = tmp("qkv_proj", phbj3);
+  Tensor<T> proj(phbj3);
   EinsumInto(S().qkv, params_.w_qkv, x, proj);
   auto qq = proj.SliceViewDim('p', 0, d.p);
   auto kk = proj.SliceViewDim('p', d.p, d.p);
   auto vv = proj.SliceViewDim('p', 2 * d.p, d.p);
 
   // AIB.
-  slot(acts.qq_b, "qq_b", phbj);
-  Tensor<T> kk_b = tmp("kk_b", phbj);
-  Tensor<T> vv_b = tmp("vv_b", phbj);
+  slot(acts.qq_b, phbj);
+  Tensor<T> kk_b(phbj);
+  Tensor<T> vv_b(phbj);
   if (config_.use_fused_kernels) {
     ops::AttnInputBias<T>({&qq, &kk, &vv}, params_.b_qkv, 'p',
                           {&acts.qq_b, &kk_b, &vv_b});
@@ -320,13 +179,13 @@ const Tensor<T>& EncoderLayerT<T>::Forward(const Tensor<T>& x,
   acts.vv_b = vv_b.RenamedDim('j', 'k').RenamedDim('p', 'w');
 
   // QKT (the softmax scaling lives in the SM kernel).
-  Tensor<T> beta = tmp("beta", hbjk);
+  Tensor<T> beta(hbjk);
   EinsumInto(S().qkt, acts.kk_b, acts.qq_b, beta);
 
   // SM: scale + softmax + attention dropout.
-  slot(acts.alpha, "alpha", hbjk);
-  slot(acts.attn_mask, "attn_mask", hbjk);
-  slot(acts.softmax_saved, "softmax_saved", hbjk);
+  slot(acts.alpha, hbjk);
+  slot(acts.attn_mask, hbjk);
+  slot(acts.softmax_saved, hbjk);
   if (config_.causal) {
     ops::CausalScaledSoftmaxForward(beta, 'k', 'j', attn_scale, attn_sm_mask,
                                     acts.alpha, acts.attn_mask,
@@ -338,25 +197,25 @@ const Tensor<T>& EncoderLayerT<T>::Forward(const Tensor<T>& x,
   }
 
   // gamma and the output projection.
-  slot(acts.gamma_t, "gamma_t", whbj);
+  slot(acts.gamma_t, whbj);
   EinsumInto(S().gamma, acts.vv_b, acts.alpha, acts.gamma_t);
-  Tensor<T> attn_out = tmp("attn_out", ibj);
+  Tensor<T> attn_out(ibj);
   EinsumInto(S().out, params_.w_out, acts.gamma_t, attn_out);
 
   // DRLN: output bias + dropout + residual + layernorm 1.
-  slot(acts.resid1, "resid1", ibj);
-  slot(acts.attn_drop_mask, "attn_drop_mask", ibj);
-  slot(acts.ln1_out, "ln1_out", ibj);
-  stat(acts.ln1_mean, "ln1_mean", bj);
-  stat(acts.ln1_rstd, "ln1_rstd", bj);
+  slot(acts.resid1, ibj);
+  slot(acts.attn_drop_mask, ibj);
+  slot(acts.ln1_out, ibj);
+  slot(acts.ln1_mean, bj);
+  slot(acts.ln1_rstd, bj);
   if (config_.use_fused_kernels) {
     ops::BiasDropoutResidualLayerNorm(
         attn_out, params_.b_out, x, attn_out_mask, params_.ln1_w,
         params_.ln1_b, 'i', config_.ln_eps, acts.resid1, acts.attn_drop_mask,
         acts.ln1_out, acts.ln1_mean, acts.ln1_rstd);
   } else {
-    Tensor<T> biased = tmp("attn_biased", ibj);
-    Tensor<T> dropped = tmp("attn_dropped", ibj);
+    Tensor<T> biased(ibj);
+    Tensor<T> dropped(ibj);
     ops::BiasForward(attn_out, params_.b_out, biased);
     ops::DropoutForward(biased, attn_out_mask, dropped, acts.attn_drop_mask);
     ops::ResidualForward(dropped, x, acts.resid1);
@@ -366,37 +225,37 @@ const Tensor<T>& EncoderLayerT<T>::Forward(const Tensor<T>& x,
   }
 
   // Feed-forward: linear 1, BRD, linear 2, BDRLN.
-  Tensor<T> lin1 = tmp("lin1", ubj);
+  Tensor<T> lin1(ubj);
   EinsumInto(S().lin1, params_.w1, acts.ln1_out, lin1);
-  slot(acts.relu1, "relu1", ubj);
-  slot(acts.ff_dropped, "ff_dropped", ubj);
-  slot(acts.ff_drop_mask, "ff_drop_mask", ubj);
+  slot(acts.relu1, ubj);
+  slot(acts.ff_dropped, ubj);
+  slot(acts.ff_drop_mask, ubj);
   if (config_.use_fused_kernels) {
     ops::BiasReluDropout(lin1, params_.b1, ff_mask, acts.relu1,
                          acts.ff_dropped, acts.ff_drop_mask);
   } else {
-    Tensor<T> biased = tmp("lin1_biased", ubj);
+    Tensor<T> biased(ubj);
     ops::BiasForward(lin1, params_.b1, biased);
     ops::ReluForward(biased, acts.relu1);
     ops::DropoutForward(acts.relu1, ff_mask, acts.ff_dropped,
                         acts.ff_drop_mask);
   }
 
-  Tensor<T> lin2 = tmp("lin2", ibj);
+  Tensor<T> lin2(ibj);
   EinsumInto(S().lin2, params_.w2, acts.ff_dropped, lin2);
-  slot(acts.resid2, "resid2", ibj);
-  slot(acts.lin2_drop_mask, "lin2_drop_mask", ibj);
-  slot(acts.y, "y", ibj);
-  stat(acts.ln2_mean, "ln2_mean", bj);
-  stat(acts.ln2_rstd, "ln2_rstd", bj);
+  slot(acts.resid2, ibj);
+  slot(acts.lin2_drop_mask, ibj);
+  slot(acts.y, ibj);
+  slot(acts.ln2_mean, bj);
+  slot(acts.ln2_rstd, bj);
   if (config_.use_fused_kernels) {
     ops::BiasDropoutResidualLayerNorm(
         lin2, params_.b2, acts.ln1_out, out_mask, params_.ln2_w,
         params_.ln2_b, 'i', config_.ln_eps, acts.resid2, acts.lin2_drop_mask,
         acts.y, acts.ln2_mean, acts.ln2_rstd);
   } else {
-    Tensor<T> biased = tmp("lin2_biased", ibj);
-    Tensor<T> dropped = tmp("lin2_dropped", ibj);
+    Tensor<T> biased(ibj);
+    Tensor<T> dropped(ibj);
     ops::BiasForward(lin2, params_.b2, biased);
     ops::DropoutForward(biased, out_mask, dropped, acts.lin2_drop_mask);
     ops::ResidualForward(dropped, acts.ln1_out, acts.resid2);
@@ -411,10 +270,6 @@ template <typename T>
 void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
                                 const EncoderActivationsT<T>& acts,
                                 EncoderGradientsT<T>& grads) const {
-  if (config_.use_graph_executor && grads.arena != nullptr) {
-    ExecutorBackward(d_y, acts, grads);
-    return;
-  }
   const auto& d = config_.dims;
   const float attn_scale = 1.0f / std::sqrt(static_cast<float>(d.p));
   const float keep = 1.0f - config_.dropout_prob;
@@ -426,22 +281,16 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
   const Shape whbk("whbk", {d.p, d.h, d.b, d.k});
   const Shape phbk("phbk", {d.p, d.h, d.b, d.k});
   const Shape phbj("phbj", {d.p, d.h, d.b, d.j});
-  const Shape phbj3("phbj", {3 * d.p, d.h, d.b, d.j});
   auto& gp = grads.params;
   gp.EnsureShapes(d);  // accumulators; every entry is overwritten below
-
-  LayerArenaT<T>* ar = grads.arena;
-  auto tmp = [ar](const char* name, const Shape& shape) -> Tensor<T> {
-    return AcquireTemp(ar, name, shape);
-  };
 
   // BSB: layernorm 2 dW.
   ops::LayerNormBackwardDW(d_y, acts.resid2, acts.ln2_mean, acts.ln2_rstd,
                            'i', gp.ln2_w, gp.ln2_b);
 
   // BLNRD: layernorm 2 dX + output dropout dX (keeps d_resid2 for EBSB).
-  Tensor<T> d_resid2 = tmp("d_resid2", ibj);
-  Tensor<T> d_lin2_biased = tmp("d_lin2_biased", ibj);
+  Tensor<T> d_resid2(ibj);
+  Tensor<T> d_lin2_biased(ibj);
   if (config_.use_fused_kernels) {
     ops::LayerNormDropoutBackward(d_y, params_.ln2_w, acts.resid2,
                                   acts.ln2_mean, acts.ln2_rstd,
@@ -455,19 +304,19 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
   }
 
   // Linear 2 dX / dW.
-  Tensor<T> d_ff_dropped = tmp("d_ff_dropped", ubj);
+  Tensor<T> d_ff_dropped(ubj);
   EinsumInto(S().lin2_dx, params_.w2, d_lin2_biased, d_ff_dropped);
   EinsumInto(S().lin2_dw, d_lin2_biased, acts.ff_dropped, gp.w2);
 
   // BDRB: bias2 dW + ff dropout dX + relu dX + bias1 dW.
-  Tensor<T> d_lin1_biased = tmp("d_lin1_biased", ubj);
+  Tensor<T> d_lin1_biased(ubj);
   if (config_.use_fused_kernels) {
     ops::BiasDropoutReluBiasBackward(d_lin2_biased, d_ff_dropped,
                                      acts.ff_drop_mask, acts.relu1,
                                      keep_scale, gp.b2, d_lin1_biased, gp.b1);
   } else {
     ops::BiasBackwardDW(d_lin2_biased, gp.b2);
-    Tensor<T> d_relu = tmp("d_relu1", ubj);
+    Tensor<T> d_relu(ubj);
     ops::DropoutBackwardDX(d_ff_dropped, acts.ff_drop_mask, keep_scale,
                            d_relu);
     ops::ReluBackwardDX(d_relu, acts.relu1, d_lin1_biased);
@@ -475,12 +324,12 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
   }
 
   // Linear 1 dX / dW.
-  Tensor<T> d_ln1_ff = tmp("d_ln1_ff", ibj);
+  Tensor<T> d_ln1_ff(ibj);
   EinsumInto(S().lin1_dx, params_.w1, d_lin1_biased, d_ln1_ff);
   EinsumInto(S().lin1_dw, d_lin1_biased, acts.ln1_out, gp.w1);
 
   // EBSB: residual merge + layernorm 1 dW.
-  Tensor<T> d_ln1_out = tmp("d_ln1_out", ibj);
+  Tensor<T> d_ln1_out(ibj);
   if (config_.use_fused_kernels) {
     ops::ResidualLayerNormDwBackward(d_ln1_ff, d_resid2, acts.resid1,
                                      acts.ln1_mean, acts.ln1_rstd, 'i',
@@ -492,8 +341,8 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
   }
 
   // BLNRD: layernorm 1 dX + attention dropout dX.
-  Tensor<T> d_resid1 = tmp("d_resid1", ibj);
-  Tensor<T> d_attn_biased = tmp("d_attn_biased", ibj);
+  Tensor<T> d_resid1(ibj);
+  Tensor<T> d_attn_biased(ibj);
   if (config_.use_fused_kernels) {
     ops::LayerNormDropoutBackward(d_ln1_out, params_.ln1_w, acts.resid1,
                                   acts.ln1_mean, acts.ln1_rstd,
@@ -510,39 +359,32 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
   ops::BiasBackwardDW(d_attn_biased, gp.b_out);
 
   // Attention backward contractions.
-  Tensor<T> d_gamma = tmp("d_gamma", whbj);
+  Tensor<T> d_gamma(whbj);
   EinsumInto(S().out_dx, params_.w_out, d_attn_biased, d_gamma);
   EinsumInto(S().out_dw, d_attn_biased, acts.gamma_t, gp.w_out);
-  Tensor<T> d_alpha = tmp("d_alpha", hbjk);
+  Tensor<T> d_alpha(hbjk);
   EinsumInto(S().gamma_dx1, acts.vv_b, d_gamma, d_alpha);
-  Tensor<T> d_vv = tmp("d_vv", whbk);
+  Tensor<T> d_vv(whbk);
   EinsumInto(S().gamma_dx2, d_gamma, acts.alpha, d_vv);
 
   // BS: dropout + softmax + scaling backward.
-  Tensor<T> d_beta = tmp("d_beta", hbjk);
+  Tensor<T> d_beta(hbjk);
   ops::ScaledSoftmaxBackwardDX(d_alpha, acts.attn_mask, acts.softmax_saved,
                                'k', attn_scale, keep_scale, d_beta);
 
   // QKT dX1 / dX2.
-  Tensor<T> d_kk = tmp("d_kk", phbk);
+  Tensor<T> d_kk(phbk);
   EinsumInto(S().qkt_dx1, acts.qq_b, d_beta, d_kk);
-  Tensor<T> d_qq = tmp("d_qq", phbj);
+  Tensor<T> d_qq(phbj);
   EinsumInto(S().qkt_dx2, d_beta, acts.kk_b, d_qq);
 
-  // Stacked [dQ~ dK~ dV~] (algebraic fusion): the plan places the three
-  // gradients as one contiguous block, so stacking is a zero-copy view;
-  // the owning path concatenates as before.
+  // Stacked [dQ~ dK~ dV~] (algebraic fusion); the planned executor places
+  // the three gradients as one contiguous block instead of concatenating.
   auto d_kk_j = d_kk.RenamedDim('k', 'j');
   auto d_vv_j = d_vv.RenamedDim('k', 'j').RenamedDim('w', 'p');
-  Tensor<T> d_proj = ar != nullptr
-                         ? ar->template ViewAs<T>("d_qkv_proj", phbj3)
-                         : ConcatDim<T>({&d_qq, &d_kk_j, &d_vv_j}, 'p');
-  if (ar != nullptr) {
-    grads.d_x = ar->template ViewAs<T>("d_x", ibj);
-  } else {
-    grads.d_x.EnsureShape(ibj);
-  }
-  Tensor<T> d_x_qkv = tmp("d_x_qkv", ibj);
+  Tensor<T> d_proj = ConcatDim<T>({&d_qq, &d_kk_j, &d_vv_j}, 'p');
+  grads.d_x.EnsureShape(ibj);
+  Tensor<T> d_x_qkv(ibj);
   EinsumInto(S().qkv_dx, params_.w_qkv, d_proj, d_x_qkv);
   EinsumInto(S().qkv_dw, d_proj, acts.x, gp.w_qkv);
 

@@ -10,35 +10,6 @@
 namespace xflow::transformer {
 
 template <typename T>
-EncoderStackWorkspaceT<T>::EncoderStackWorkspaceT(const EncoderConfig& config,
-                                                  int num_layers) {
-  require(num_layers > 0, "workspace needs at least one layer");
-  // One plan serves every layer (same dims, same graph); each layer gets
-  // its own slab.
-  const auto graph = graph::BuildEncoder(
-      config.dims, graph::AlgebraicFusion::kQKV, /*include_backward=*/true);
-  const auto plan = graph::PlanMemory(graph, EncoderPlanOptions<T>());
-  arenas_.reserve(static_cast<std::size_t>(num_layers));
-  for (int l = 0; l < num_layers; ++l) {
-    arenas_.emplace_back(plan);
-  }
-}
-
-template <typename T>
-std::size_t EncoderStackWorkspaceT<T>::planned_bytes() const {
-  std::size_t total = 0;
-  for (const auto& a : arenas_) total += a.plan().peak_bytes();
-  return total;
-}
-
-template <typename T>
-std::size_t EncoderStackWorkspaceT<T>::naive_bytes() const {
-  std::size_t total = 0;
-  for (const auto& a : arenas_) total += a.plan().naive_bytes();
-  return total;
-}
-
-template <typename T>
 EncoderStackT<T>::EncoderStackT(EncoderConfig config, int num_layers,
                                 std::uint64_t seed) {
   require(num_layers > 0, "stack needs at least one layer");
@@ -54,25 +25,10 @@ EncoderStackT<T>::EncoderStackT(EncoderConfig config, int num_layers,
 }
 
 template <typename T>
-void EncoderStackT<T>::BindWorkspace(
-    EncoderStackWorkspaceT<T>& workspace,
-    std::vector<EncoderActivationsT<T>>& acts,
-    std::vector<EncoderGradientsT<T>>& grads) const {
-  require(workspace.num_layers() == num_layers(),
-          "workspace must have one arena per layer");
-  if (acts.size() != layers_.size()) acts.assign(layers_.size(), {});
-  if (grads.size() != layers_.size()) grads.assign(layers_.size(), {});
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    acts[l].arena = &workspace.layer(static_cast<int>(l));
-    grads[l].arena = &workspace.layer(static_cast<int>(l));
-  }
-}
-
-template <typename T>
 const Tensor<T>& EncoderStackT<T>::Forward(
     const Tensor<T>& x, std::vector<EncoderActivationsT<T>>& acts) const {
-  // Reuse existing entries (and their arena bindings / owning buffers)
-  // when the caller iterates steps; only resize on first use.
+  // Reuse existing entries (and their owning buffers) when the caller
+  // iterates steps; only resize on first use.
   if (acts.size() != layers_.size()) acts.assign(layers_.size(), {});
   const Tensor<T>* cur = &x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
@@ -113,14 +69,13 @@ graph::GraphExecutorT<T>& EncoderStackT<T>::Executor(
     const EncoderConfig& cfg = layers_.front().config();
     graph::ExecutorOptions opts;
     opts.use_fused_kernels = cfg.use_fused_kernels;
-    opts.use_task_scheduler = cfg.use_task_scheduler;
     opts.causal = cfg.causal;
     opts.dropout_prob = cfg.dropout_prob;
     opts.ln_eps = cfg.ln_eps;
     opts.attn_scale = 1.0f / std::sqrt(static_cast<float>(cfg.dims.p));
     // One four-seed block per layer, in layer order -- exactly the streams
-    // each layer's own executor would use, so whole-stack execution is
-    // bitwise identical to the per-layer path. Recompute clones reuse
+    // each owning layer uses, so whole-stack execution is bitwise identical
+    // to the per-layer path. Recompute clones reuse
     // their original's seed (executor rule), so checkpointing never
     // shifts this schedule.
     for (const EncoderLayerT<T>& layer : layers_) {
@@ -157,7 +112,7 @@ const Tensor<T>& EncoderStackT<T>::Forward(const Tensor<T>& x,
   ex.BindInput("x", x);
   ex.Forward();
   const auto& d = layers_.front().config().dims;
-  y_view_ = arena.arena().template ViewAs<T>(
+  y_view_ = arena.template ViewAs<T>(
       StrFormat("L%zu.y", layers_.size() - 1), Shape("ibj", {d.i, d.b, d.j}));
   return y_view_;
 }
@@ -188,9 +143,9 @@ const Tensor<T>& EncoderStackT<T>::Backward(
   const Shape ibj("ibj", {d.i, d.b, d.j});
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     grads[l].d_x =
-        arena.arena().template ViewAs<T>(StrFormat("L%zu.d_x", l), ibj);
+        arena.template ViewAs<T>(StrFormat("L%zu.d_x", l), ibj);
   }
-  dx_view_ = arena.arena().template ViewAs<T>("L0.d_x", ibj);
+  dx_view_ = arena.template ViewAs<T>("L0.d_x", ibj);
   return dx_view_;
 }
 
@@ -209,7 +164,5 @@ EncoderStackT<T>::NamedParams() {
 
 template class EncoderStackT<Half>;
 template class EncoderStackT<float>;
-template class EncoderStackWorkspaceT<Half>;
-template class EncoderStackWorkspaceT<float>;
 
 }  // namespace xflow::transformer

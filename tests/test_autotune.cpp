@@ -10,7 +10,7 @@
 #include "sim/kernel_model.hpp"
 #include "tensor/memstats.hpp"
 #include "transformer/arena.hpp"
-#include "transformer/encoder.hpp"
+#include "transformer/stack.hpp"
 
 namespace xflow {
 namespace {
@@ -133,6 +133,54 @@ TEST(Autotune, OffModeBypassesTheCacheEntirely) {
   EXPECT_EQ(entry.exec.row_grain, 0);
 }
 
+TEST(Autotune, MeasureMayReenterTheTuner) {
+  // A measuring thread can re-enter Autotune (its pool wait steals another
+  // contraction step). The re-entrant lookup must neither block on the
+  // cache nor tune the in-flight bucket twice: another bucket tunes
+  // normally, the in-flight one answers with the built-in heuristic.
+  ResetAutotuneCacheForTesting();
+  const auto outer = BucketOf(EinsumClass::kGemv,
+                              {.m = 40, .n = 1, .k = 24, .batch = 1}, 4);
+  const auto inner = BucketOf(EinsumClass::kGer,
+                              {.m = 40, .n = 24, .k = 1, .batch = 1}, 4);
+  int inner_calls = 0;
+  const config::MeasureFn inner_fn = [&](const EinsumExecConfig& cand) {
+    ++inner_calls;
+    return cand.row_grain == 16 ? 0.5 : 1.0;
+  };
+  config::TunedEntry nested, in_flight;
+  bool reentered = false;
+  const config::MeasureFn outer_fn = [&](const EinsumExecConfig& cand) {
+    if (!reentered) {
+      reentered = true;
+      nested = Autotune(inner, inner_fn, AutotuneMode::kMeasure);
+      in_flight = Autotune(outer, nullptr, AutotuneMode::kMeasure);
+    }
+    return cand.row_grain == 256 ? 0.5 : 1.0;
+  };
+
+  const auto before = memstats::Read();
+  const auto entry = Autotune(outer, outer_fn, AutotuneMode::kMeasure);
+  const auto after = memstats::Read();
+  EXPECT_TRUE(entry.measured);
+  EXPECT_EQ(entry.exec.row_grain, 256);
+  EXPECT_TRUE(nested.measured);
+  EXPECT_EQ(nested.exec.row_grain, 16);
+  EXPECT_GT(inner_calls, 0);
+  EXPECT_FALSE(in_flight.measured);  // the built-in heuristic
+  EXPECT_EQ(in_flight.exec.row_grain, 0);
+  // Both buckets tuned exactly once; the in-flight lookup is no hit.
+  EXPECT_EQ(after.autotune_measures, before.autotune_measures + 2);
+  EXPECT_EQ(after.autotune_hits, before.autotune_hits);
+
+  // Both entries were published: later lookups are warm.
+  EXPECT_EQ(Autotune(outer, nullptr, AutotuneMode::kMeasure).exec.row_grain,
+            256);
+  EXPECT_EQ(Autotune(inner, nullptr, AutotuneMode::kMeasure).exec.row_grain,
+            16);
+  EXPECT_EQ(memstats::Read().autotune_hits, after.autotune_hits + 2);
+}
+
 // End-to-end: a warm executor step never re-measures -- the second
 // execution of every (op class, shape bucket) hits the config cache.
 TEST(Autotune, WarmExecutorStepHitsTheConfigCache) {
@@ -145,18 +193,14 @@ TEST(Autotune, WarmExecutorStepHitsTheConfigCache) {
   cfg.dropout_prob = 0.1f;
   cfg.seed = 7;
   cfg.use_fused_kernels = true;
-  cfg.use_graph_executor = true;
-  auto params = EncoderParamsT<Half>::Init(cfg.dims, 11);
-  EncoderLayerT<Half> layer(cfg, params);
-  auto arena = MakeEncoderArena<Half>(cfg);
+  EncoderStackT<Half> stack(cfg, 1, 11);
+  auto arena = MakeStackArena<Half>(cfg, {.num_layers = 1});
   auto x = TensorH::Random(Shape("ibj", {cfg.dims.i, cfg.dims.b, cfg.dims.j}),
                            13);
-  EncoderActivationsT<Half> acts;
-  acts.arena = &arena;
 
-  layer.Forward(x, acts);  // cold: fills the per-bucket entries
+  stack.Forward(x, arena);  // cold: fills the per-bucket entries
   const auto before = memstats::Read();
-  layer.Forward(x, acts);
+  const TensorH& y = stack.Forward(x, arena);
   const auto after = memstats::Read();
   EXPECT_EQ(after.autotune_measures, before.autotune_measures)
       << "a warm executor step re-tuned a contraction bucket";
@@ -165,16 +209,14 @@ TEST(Autotune, WarmExecutorStepHitsTheConfigCache) {
 
   // A *new* executor over the same shapes is warm from the start -- the
   // process-wide cache is what item 2's plan cache will lean on.
-  EncoderLayerT<Half> second(cfg, params);
-  auto arena2 = MakeEncoderArena<Half>(cfg);
-  EncoderActivationsT<Half> acts2;
-  acts2.arena = &arena2;
+  EncoderStackT<Half> second(cfg, 1, 11);
+  auto arena2 = MakeStackArena<Half>(cfg, {.num_layers = 1});
   const auto fresh_before = memstats::Read();
-  second.Forward(x, acts2);
+  const TensorH& y2 = second.Forward(x, arena2);
   const auto fresh_after = memstats::Read();
   EXPECT_EQ(fresh_after.autotune_measures, fresh_before.autotune_measures)
       << "a second executor over tuned shapes re-measured";
-  EXPECT_EQ(MaxAbsDiff(acts.y, acts2.y), 0.0);
+  EXPECT_EQ(MaxAbsDiff(y, y2), 0.0);
 }
 
 }  // namespace

@@ -102,6 +102,26 @@ TEST(Encoder, DifferentSeedsChangeDropout) {
   EXPECT_GT(MaxAbsDiff(aa.ff_drop_mask, ab.ff_drop_mask), 0.0);
 }
 
+TEST(Encoder, RepeatedBackwardIntoReusedGradientsIsIdempotent) {
+  // Gradient accumulators are reused across steps (EnsureShapes); a kernel
+  // that accumulated instead of overwriting would drift on the second run.
+  const auto cfg = TinyConfig(true);
+  EncoderLayer layer(cfg, EncoderParams::Init(cfg.dims, 23));
+  EncoderActivations acts;
+  layer.Forward(TinyInput(cfg.dims, 29), acts);
+  auto d_y = TinyInput(cfg.dims, 31);
+  EncoderGradients reused, fresh;
+  layer.Backward(d_y, acts, reused);
+  layer.Backward(d_y, acts, reused);  // second run into the same buffers
+  layer.Backward(d_y, acts, fresh);
+  EXPECT_EQ(MaxAbsDiff(reused.d_x, fresh.d_x), 0.0);
+  auto rn = reused.params.Named();
+  auto fn = fresh.params.Named();
+  for (std::size_t p = 0; p < rn.size(); ++p) {
+    EXPECT_EQ(MaxAbsDiff(*rn[p].second, *fn[p].second), 0.0) << rn[p].first;
+  }
+}
+
 // Gradient checks against finite differences (fp32, dropout off).
 class EncoderGradCheck : public ::testing::Test {
  protected:

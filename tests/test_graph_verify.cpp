@@ -431,7 +431,7 @@ TEST(VerifyPlan, BrokenGroupTiling) {
   // shifting kk breaks the tiling and nothing else.
   const auto dims = ModelDims::Tiny();
   const auto g = BuildEncoder(dims, AlgebraicFusion::kQKV, true);
-  const auto options = transformer::EncoderPlanOptions<float>();
+  const auto options = transformer::StackPlanOptions<float>(g);
   const auto plan = Corrupted(PlanMemory(g, options),
                               [](auto& p) { p.at("kk").offset += 64; },
                               /*peak_delta=*/128);
@@ -485,7 +485,7 @@ TEST(VerifyPlan, UndeclaredFusedSpan) {
   // the schedule/plan divergence.
   const auto dims = ModelDims::Tiny();
   const auto g = BuildEncoder(dims, AlgebraicFusion::kQKV, true);
-  auto options = transformer::EncoderPlanOptions<float>();
+  auto options = transformer::StackPlanOptions<float>(g);
   ASSERT_FALSE(options.fused_spans.empty());
   options.fused_spans.erase(options.fused_spans.begin());
   const auto plan = PlanMemory(g, options);
@@ -495,7 +495,7 @@ TEST(VerifyPlan, UndeclaredFusedSpan) {
 TEST(VerifyPlan, PartiallyPresentFusedSpan) {
   const auto dims = ModelDims::Tiny();
   const auto g = BuildEncoder(dims, AlgebraicFusion::kQKV, true);
-  auto options = transformer::EncoderPlanOptions<float>();
+  auto options = transformer::StackPlanOptions<float>(g);
   options.fused_spans[0] = {"output bias", "attn dropout", "no such op"};
   const auto plan = PlanMemory(g, options);
   ExpectOnlyRule(Verify(g, plan, options), "determinism/fused-spans");
@@ -510,7 +510,7 @@ TEST(VerifyClean, EveryBuilderPlanPairVerifies) {
 
     const auto mha = BuildMha(dims, /*include_backward=*/true);
     for (const std::size_t elem : {sizeof(float), sizeof(Half)}) {
-      PlanOptions options;  // MakeMhaArena's options
+      PlanOptions options;
       options.default_elem_bytes = elem;
       options.exclude = {"d_out"};
       const auto plan = PlanMemory(mha, options);
@@ -534,8 +534,8 @@ TEST(VerifyClean, EveryBuilderPlanPairVerifies) {
       const auto enc = BuildEncoder(dims, fusion, /*include_backward=*/true);
       for (const bool half : {false, true}) {
         const auto options =
-            half ? transformer::EncoderPlanOptions<Half>()
-                 : transformer::EncoderPlanOptions<float>();
+            half ? transformer::StackPlanOptions<Half>(enc)
+                 : transformer::StackPlanOptions<float>(enc);
         const auto plan = PlanMemory(enc, options);
         const auto with = Verify(enc, plan, options);
         EXPECT_TRUE(with.ok())
@@ -557,7 +557,7 @@ TEST(VerifyClean, EveryBuilderPlanPairVerifies) {
 TEST(VerifyFuzz, EveryPlanPerturbationIsCaught) {
   const auto dims = ModelDims::Tiny();
   const auto g = BuildEncoder(dims, AlgebraicFusion::kQKV, true);
-  const auto options = transformer::EncoderPlanOptions<float>();
+  const auto options = transformer::StackPlanOptions<float>(g);
   const auto plan = PlanMemory(g, options);
   ASSERT_TRUE(Verify(g, plan, options).ok());
 

@@ -18,8 +18,8 @@ int OpIndex(const DataflowGraph& g, const std::string& name) {
   return -1;
 }
 
-PlanOptions HalfOptions() {
-  return transformer::EncoderPlanOptions<Half>();
+PlanOptions HalfOptions(const DataflowGraph& g) {
+  return transformer::StackPlanOptions<Half>(g);
 }
 
 TEST(MemoryPlan, LivenessHonorsSavedOutputs) {
@@ -27,7 +27,7 @@ TEST(MemoryPlan, LivenessHonorsSavedOutputs) {
   // Forward + backward: saved tensors live exactly until the backward op
   // that consumes them, then their bytes are reusable.
   const auto g = BuildEncoder(dims, AlgebraicFusion::kQKV, true);
-  const auto plan = PlanMemory(g, HalfOptions());
+  const auto plan = PlanMemory(g, HalfOptions(g));
   EXPECT_EQ(plan.at("attn_mask").first_use, OpIndex(g, "scaled softmax"));
   EXPECT_EQ(plan.at("attn_mask").last_use, OpIndex(g, "scaled softmax dX"));
   EXPECT_EQ(plan.at("softmax_saved").last_use,
@@ -47,7 +47,7 @@ TEST(MemoryPlan, LivenessHonorsSavedOutputs) {
   // In a forward-only graph the saved outputs have no in-graph consumer:
   // they must survive the whole step for a later backward.
   const auto fwd = BuildEncoder(dims, AlgebraicFusion::kQKV, false);
-  const auto fwd_plan = PlanMemory(fwd, HalfOptions());
+  const auto fwd_plan = PlanMemory(fwd, HalfOptions(fwd));
   const int fwd_last = static_cast<int>(fwd.ops().size()) - 1;
   EXPECT_EQ(fwd_plan.at("attn_mask").last_use, fwd_last);
   EXPECT_EQ(fwd_plan.at("softmax_saved").last_use, fwd_last);
@@ -55,7 +55,7 @@ TEST(MemoryPlan, LivenessHonorsSavedOutputs) {
 
 TEST(MemoryPlan, InputsArePinnedAndWeightsExcluded) {
   const auto g = BuildEncoder(ModelDims::Tiny(), AlgebraicFusion::kQKV, true);
-  const auto plan = PlanMemory(g, HalfOptions());
+  const auto plan = PlanMemory(g, HalfOptions(g));
   EXPECT_TRUE(plan.at("x").pinned);
   EXPECT_EQ(plan.at("x").first_use, -1);
   EXPECT_EQ(plan.at("x").last_use, static_cast<int>(g.ops().size()) - 1);
@@ -69,7 +69,7 @@ TEST(MemoryPlan, InputsArePinnedAndWeightsExcluded) {
 TEST(MemoryPlan, OverlappingLifetimesNeverShareBytes) {
   const auto g =
       BuildEncoder(ModelDims::BertBase(), AlgebraicFusion::kQKV, true);
-  const auto plan = PlanMemory(g, HalfOptions());
+  const auto plan = PlanMemory(g, HalfOptions(g));
   // Group members share their group block by construction; compare units
   // by skipping pairs inside the same group (their sub-ranges are
   // disjoint by packing, checked below).
@@ -98,7 +98,7 @@ TEST(MemoryPlan, OverlappingLifetimesNeverShareBytes) {
 
 TEST(MemoryPlan, GroupMembersArePackedContiguously) {
   const auto g = BuildEncoder(ModelDims::Tiny(), AlgebraicFusion::kQKV, true);
-  const auto plan = PlanMemory(g, HalfOptions());
+  const auto plan = PlanMemory(g, HalfOptions(g));
   const auto& stack = plan.at("d_qkv_proj");
   const auto& dq = plan.at("d_qq");
   const auto& dk = plan.at("d_kk");
@@ -119,7 +119,7 @@ TEST(MemoryPlan, FusedKernelInputsNeverAliasOutputs) {
   // such overlap, at every configuration we plan.
   for (const auto dims : {ModelDims::Tiny(), ModelDims::BertBase()}) {
     const auto g = BuildEncoder(dims, AlgebraicFusion::kQKV, true);
-    const auto opts = HalfOptions();
+    const auto opts = HalfOptions(g);
     const auto plan = PlanMemory(g, opts);
     for (const auto& span : opts.fused_spans) {
       std::vector<std::string> reads, writes;
@@ -151,7 +151,7 @@ TEST(MemoryPlan, PlannedPeakWellBelowNaiveOnBertBase) {
   // activations, fp32 layernorm statistics), forward + backward.
   const auto g =
       BuildEncoder(ModelDims::BertBase(), AlgebraicFusion::kQKV, true);
-  const auto plan = PlanMemory(g, HalfOptions());
+  const auto plan = PlanMemory(g, HalfOptions(g));
   EXPECT_GT(plan.naive_bytes(), 0u);
   EXPECT_LE(plan.peak_bytes(), plan.naive_bytes());
   EXPECT_GE(plan.Reduction(), 0.30) << plan.Summary();
@@ -167,7 +167,7 @@ TEST(MemoryPlan, WholeStackPlanBeatsPerLayerPlanningOnBertBase) {
   const auto dims = ModelDims::BertBase();
   constexpr std::size_t kLayers = 12;
   const auto layer = BuildEncoder(dims, AlgebraicFusion::kQKV, true);
-  const auto layer_plan = PlanMemory(layer, HalfOptions());
+  const auto layer_plan = PlanMemory(layer, HalfOptions(layer));
   const std::size_t per_layer_sum = kLayers * layer_plan.PeakBytes();
 
   const auto stack =
@@ -218,8 +218,8 @@ TEST(MemoryPlan, CrossChecksGraphAnalysisAccounting) {
 
 TEST(MemoryPlan, DeterministicAcrossRuns) {
   const auto g = BuildEncoder(ModelDims::Tiny(), AlgebraicFusion::kQKV, true);
-  const auto a = PlanMemory(g, HalfOptions());
-  const auto b = PlanMemory(g, HalfOptions());
+  const auto a = PlanMemory(g, HalfOptions(g));
+  const auto b = PlanMemory(g, HalfOptions(g));
   ASSERT_EQ(a.placements().size(), b.placements().size());
   EXPECT_EQ(a.peak_bytes(), b.peak_bytes());
   EXPECT_EQ(a.naive_bytes(), b.naive_bytes());

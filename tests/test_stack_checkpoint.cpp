@@ -210,7 +210,6 @@ TEST(StackCheckpoint, RecomputeTrainsBitwiseIdenticalToStore) {
     EncoderConfig cfg = StackConfig();
     cfg.dropout_prob = 0.1f;
     cfg.use_fused_kernels = true;
-    cfg.use_task_scheduler = true;
     auto stored = MakeStackArena<Half>(cfg, {.num_layers = 3});
     const auto want = TrainedParams(cfg, 3, stored);
     auto recomputed = MakeStackArena<Half>(
