@@ -446,9 +446,9 @@ BENCHMARK(BM_EinsumLowering)
     ->UseRealTime();
 
 void BM_AutotuneWarmVsCold(benchmark::State& state) {
-  // What tuning a cold bucket costs (roofline ranking plus best-of-two
-  // timing of every execution candidate) vs the warm steady state the
-  // executor lives in (one map lookup under a mutex).
+  // What tuning a cold bucket costs (best-of-two timing of every
+  // execution candidate) vs the warm steady state the executor lives in
+  // (one map lookup under a mutex).
   ThreadGuard threads(1);
   const bool warm = state.range(0) != 0;
   const auto spec = EinsumSpec::Parse("mk,kn->mn");

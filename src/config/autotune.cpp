@@ -2,24 +2,18 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 
-#include "config/selection.hpp"
-#include "sim/device.hpp"
 #include "tensor/memstats.hpp"
 
 namespace xflow::config {
 
 namespace {
-
-/// How deep the sim ranking is trusted before measuring (Sec. VI-A keeps
-/// only a handful of configurations per contraction in play).
-constexpr int kSimTopK = 4;
 
 std::int64_t RoundUpPow2(std::int64_t v) {
   std::int64_t p = 1;
@@ -41,7 +35,7 @@ std::map<ShapeBucket, std::optional<TunedEntry>>& Cache() {
 
 }  // namespace
 
-AutotuneMode ParseAutotuneMode(const char* value) {
+std::optional<AutotuneMode> ParseAutotuneMode(const char* value) {
   if (value == nullptr || *value == '\0') return AutotuneMode::kMeasure;
   std::string v(value);
   std::transform(v.begin(), v.end(), v.begin(),
@@ -49,13 +43,24 @@ AutotuneMode ParseAutotuneMode(const char* value) {
   if (v == "off" || v == "0" || v == "false" || v == "no") {
     return AutotuneMode::kOff;
   }
-  if (v == "sim") return AutotuneMode::kSim;
-  return AutotuneMode::kMeasure;
+  if (v == "measure" || v == "on" || v == "1" || v == "true" || v == "yes") {
+    return AutotuneMode::kMeasure;
+  }
+  return std::nullopt;
 }
 
 AutotuneMode AutotuneModeFromEnv() {
-  static const AutotuneMode mode =
-      ParseAutotuneMode(std::getenv("XFLOW_AUTOTUNE"));
+  static const AutotuneMode mode = [] {
+    const char* env = std::getenv("XFLOW_AUTOTUNE");
+    if (const auto parsed = ParseAutotuneMode(env)) return *parsed;
+    // Like XFLOW_THREADS: a typo (or a retired mode) must not pass
+    // silently for a configured run.
+    std::fprintf(stderr,
+                 "xflow: ignoring invalid XFLOW_AUTOTUNE=\"%s\" (expected "
+                 "off or measure); using measure\n",
+                 env);
+    return AutotuneMode::kMeasure;
+  }();
   return mode;
 }
 
@@ -111,16 +116,9 @@ TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
   }
 
   TunedEntry entry;
-  static const sim::GpuModel model{sim::DeviceSpec::V100()};
-  const GemmExtents extents{bucket.m, bucket.n, bucket.k, bucket.batch};
-  const auto sim_ranked = EnumerateCandidates(model, extents, kSimTopK);
-  if (!sim_ranked.empty()) {
-    entry.algorithm = sim_ranked.front().algorithm;
-    entry.sim_us = sim_ranked.front().sim_us;
-  }
   const auto candidates = ExecCandidates(bucket);
   entry.exec = candidates.front();
-  if (mode == AutotuneMode::kMeasure && measure) {
+  if (measure) {
     try {
       double best = std::numeric_limits<double>::infinity();
       for (const auto& cand : candidates) {

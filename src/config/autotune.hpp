@@ -1,45 +1,44 @@
 // Online per-(op class, shape bucket) contraction autotuner (Sec. VI).
 //
-// The paper's config-selection machinery picks layouts/algorithms
-// offline; this module makes it live: the first time the executor
-// dispatches a contraction of a given (EinsumClass, bucketed extents,
-// element size), the autotuner enumerates candidate configurations
-// (config/selection.hpp's EnumerateCandidates over the
-// layouts/contraction_space sweep), prunes them with the sim/ roofline
-// model, optionally measures the surviving execution-strategy candidates
-// once on the real kernels, and caches the winner process-wide. Repeat
-// steps -- and warm serving plans, which key their plan cache the same
-// way -- always run the cached config and never re-measure (asserted via
-// memstats::autotune_measures / autotune_hits).
+// The paper picks each contraction's configuration by measuring it on the
+// device it runs on; this module does the same live. The first time the
+// executor dispatches a contraction of a given (EinsumClass, bucketed
+// extents, element size), the autotuner times the bucket's
+// execution-strategy candidates (ExecCandidates) once on the real kernels
+// and caches the fastest process-wide. Repeat steps -- and warm serving
+// plans, which key their plan cache the same way -- always run the cached
+// config and never re-measure (asserted via memstats::autotune_measures /
+// autotune_hits).
 //
 // Every tunable knob is numerics-free (see EinsumExecConfig), so tuning
 // never changes results: measuring simply re-runs the real contraction,
 // which is legal whenever beta == 0 (the executor's only mode).
 //
-// XFLOW_AUTOTUNE selects the mode: "measure" (default) measures the
-// sim-pruned candidates; "sim" trusts the roofline ranking without
-// touching the host timers (deterministic -- what sanitizer CI runs);
+// XFLOW_AUTOTUNE selects the mode: "measure" (default) tunes and caches;
 // "off" bypasses the cache and always returns the built-in heuristic.
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "tensor/einsum.hpp"
 
 namespace xflow::config {
 
-enum class AutotuneMode { kOff, kSim, kMeasure };
+enum class AutotuneMode { kOff, kMeasure };
 
 /// The pure decision behind AutotuneModeFromEnv (exposed for tests):
-/// `value` is the environment string or nullptr for unset. "off" / "0" /
-/// "false" / "no" -> kOff; "sim" -> kSim; anything else (including
-/// unset, "measure", "on") -> kMeasure.
-AutotuneMode ParseAutotuneMode(const char* value);
+/// `value` is the environment string or nullptr for unset, matched
+/// case-insensitively. "off" / "0" / "false" / "no" -> kOff; unset, "",
+/// "measure" / "on" / "1" / "true" / "yes" -> kMeasure; anything else is
+/// unrecognized (nullopt).
+std::optional<AutotuneMode> ParseAutotuneMode(const char* value);
 
-/// XFLOW_AUTOTUNE, read once per process.
+/// XFLOW_AUTOTUNE, read once per process. An unrecognized value warns once
+/// on stderr, naming it, and falls back to kMeasure.
 AutotuneMode AutotuneModeFromEnv();
 
 /// Cache key: contraction class + power-of-two-rounded extents + element
@@ -60,8 +59,6 @@ ShapeBucket BucketOf(EinsumClass cls, const GemmExtents& extents,
 /// The tuned decision for one bucket.
 struct TunedEntry {
   EinsumExecConfig exec;   // winning execution strategy
-  int algorithm = -1;      // sim-best device algorithm id (diagnostics)
-  double sim_us = 0;       // roofline estimate of the sim-best candidate
   bool measured = false;   // a real timing pass picked `exec`
 };
 
@@ -71,13 +68,14 @@ struct TunedEntry {
 using MeasureFn = std::function<double(const EinsumExecConfig&)>;
 
 /// The cached entry for the bucket, tuning on first call (kOff bypasses
-/// the cache entirely). In kMeasure mode with a non-null `measure`, the
-/// candidate strategies are timed once and the fastest wins; otherwise
-/// the deterministic sim-ranked default wins. Cache fills are metered
-/// via memstats::autotune_measures, warm lookups via autotune_hits. The
-/// cache lock is not held while tuning, so `measure` may re-enter
-/// Autotune; a lookup of a bucket whose tuning is still in flight (on any
-/// thread) returns the built-in heuristic without waiting or counting.
+/// the cache entirely). With a non-null `measure`, each candidate
+/// strategy is timed once and the fastest wins; otherwise the first
+/// candidate (the built-in heuristic) is cached untimed. Cache fills are
+/// metered via memstats::autotune_measures, warm lookups via
+/// autotune_hits. The cache lock is not held while tuning, so `measure`
+/// may re-enter Autotune; a lookup of a bucket whose tuning is still in
+/// flight (on any thread) returns the built-in heuristic without waiting
+/// or counting.
 TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
                     AutotuneMode mode);
 TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure);

@@ -11,29 +11,6 @@
 
 namespace xflow::config {
 
-std::vector<CandidateConfig> EnumerateCandidates(const sim::GpuModel& model,
-                                                 const GemmExtents& extents,
-                                                 int top_k) {
-  const auto samples = layouts::SweepContraction(
-      model, extents, /*tensor_cores=*/true, extents.batch > 1);
-  std::vector<std::size_t> order(samples.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t x, std::size_t y) {
-                     return samples[x].timing.time_us <
-                            samples[y].timing.time_us;
-                   });
-  std::vector<CandidateConfig> out;
-  const auto n = std::min(order.size(),
-                          static_cast<std::size_t>(std::max(top_k, 0)));
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& s = samples[order[i]];
-    out.push_back({s.layout, s.algorithm, s.timing.time_us});
-  }
-  return out;
-}
-
 namespace {
 
 using graph::DataflowGraph;

@@ -48,22 +48,6 @@ struct SelectionResult {
   [[nodiscard]] double StagePenalty(const std::string& kernel_name) const;
 };
 
-/// One sim-ranked autotuner candidate configuration of a contraction.
-struct CandidateConfig {
-  layouts::GemmLayout layout;
-  int algorithm = 0;
-  double sim_us = 0;
-};
-
-/// The `top_k` fastest (layout, algorithm) configurations of `extents`
-/// under the roofline model, best first (deterministic tie-break by
-/// sweep order). This is the enumeration + pruning half of the online
-/// autotuner (config/autotune.hpp): the device model discards the
-/// hopeless configurations so only a handful are ever measured.
-std::vector<CandidateConfig> EnumerateCandidates(const sim::GpuModel& model,
-                                                 const GemmExtents& extents,
-                                                 int top_k);
-
 /// Runs selection over the forward part of the fused encoder schedule.
 SelectionResult SelectConfigurations(const sim::GpuModel& model,
                                      const graph::DataflowGraph& g,

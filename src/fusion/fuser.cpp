@@ -140,6 +140,12 @@ bool FusedKernel::IsContraction(const DataflowGraph& g) const {
              OpClass::kContraction;
 }
 
+bool FusedKernel::LaunchesAsOneKernel() const {
+  return op_indices.size() > 1 &&
+         (name == "DRLN" || name == "BDRLN" || name == "BRD" ||
+          name == "BLNRD" || name == "BDRB" || name == "EBSB");
+}
+
 bool IterationSpacesCompatible(const OpNode& a, const OpNode& b) {
   const std::string red_a = DimNames(a.reduction_dims);
   const std::string red_b = DimNames(b.reduction_dims);

@@ -36,6 +36,10 @@ struct FusedKernel {
   std::string reduction_dims;
 
   [[nodiscard]] bool IsContraction(const graph::DataflowGraph& g) const;
+  /// True exactly for the recognized multi-op paper kernels. The executor
+  /// launches each as one kernel, so the planner and verifier treat its
+  /// ops as one atomic span; any other group runs op by op.
+  [[nodiscard]] bool LaunchesAsOneKernel() const;
 };
 
 struct FusionResult {

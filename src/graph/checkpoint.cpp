@@ -1,161 +1,41 @@
 #include "graph/checkpoint.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <set>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
-#include "graph/analysis.hpp"
 
 namespace xflow::graph {
-namespace {
-
-std::size_t AlignUp(std::size_t v, std::size_t alignment) {
-  return (v + alignment - 1) / alignment * alignment;
-}
-
-/// Roofline time of one kernel on `spec`: launch overhead plus the higher
-/// of the compute roof (tensor cores for contractions, fp16 FPUs
-/// otherwise) and the bandwidth roof at fp16 element size.
-double OpSeconds(const DataflowGraph& graph, const OpNode& op,
-                 const sim::DeviceSpec& spec) {
-  const OpCost cost = CostOf(graph, op);
-  const double bytes =
-      2.0 * static_cast<double>(cost.input_elems + cost.output_elems);
-  const double peak = op.kind == OpKind::kContraction ? spec.tensor_core_flops
-                                                      : spec.fp16_flops;
-  return spec.kernel_launch_us * 1e-6 +
-         std::max(cost.flop / peak, bytes / spec.mem_bandwidth);
-}
-
-/// First op index of the backward pass (every forward op, including the
-/// loss head, precedes it by construction in BuildEncoderStack).
-int BackwardBegin(const DataflowGraph& graph) {
-  for (std::size_t i = 0; i < graph.ops().size(); ++i) {
-    if (IsBackwardOp(graph.ops()[i].kind)) return static_cast<int>(i);
-  }
-  return static_cast<int>(graph.ops().size());
-}
-
-std::size_t ElemBytes(const PlanOptions& options, const TensorNode& t) {
-  return options.elem_bytes ? options.elem_bytes(t)
-                            : options.default_elem_bytes;
-}
-
-}  // namespace
 
 CheckpointedStackPlan PlanCheckpointedStack(
     const ModelDims& dims, StackGraphOptions base,
-    const StackPlanOptionsFn& options_for, std::size_t memory_budget_bytes,
-    const sim::DeviceSpec& spec) {
+    const StackPlanOptionsFn& options_for, std::size_t memory_budget_bytes) {
   require(base.include_backward,
           "checkpoint planning needs the backward pass in the graph");
   require(static_cast<bool>(options_for), "options_for must be callable");
   base.recompute_layers.clear();
 
   auto build = [&](std::vector<int> recompute) {
-    std::sort(recompute.begin(), recompute.end());
+    CheckpointedStackPlan p;
     StackGraphOptions o = base;
-    o.recompute_layers = std::move(recompute);
-    DataflowGraph g = BuildEncoderStack(dims, o);
-    MemoryPlan p = PlanMemory(g, options_for(g));
-    return std::pair<DataflowGraph, MemoryPlan>{std::move(g), std::move(p)};
+    o.recompute_layers = recompute;
+    p.graph = BuildEncoderStack(dims, o);
+    p.plan = PlanMemory(p.graph, options_for(p.graph));
+    p.recompute_layers = std::move(recompute);
+    return p;
   };
 
-  // Per-layer droppable bytes (saved interior activations the backward
-  // pass reads) and recompute cost, measured on the stored-everything
-  // graph.
-  auto [base_graph, base_plan] = build({});
-  const PlanOptions base_options = options_for(base_graph);
-  const int bwd_begin = BackwardBegin(base_graph);
-  struct LayerCost {
-    int layer = 0;
-    std::size_t droppable_bytes = 0;
-    double recompute_seconds = 0;
-    std::vector<std::string> droppable;  // the saved interior activations
-  };
-  std::vector<LayerCost> layers;
-  for (int l = 0; l < base.num_layers; ++l) {
-    LayerCost lc;
-    lc.layer = l;
-    const std::string prefix = StrFormat("L%d.", l);
-    const std::string boundary = StrFormat("L%d.y", l);
-    std::set<std::string> seen;
-    for (int oi = 0; oi < bwd_begin; ++oi) {
-      const OpNode& op = base_graph.ops()[static_cast<std::size_t>(oi)];
-      if (!op.name.starts_with(prefix)) continue;
-      lc.recompute_seconds += OpSeconds(base_graph, op, spec);
-      for (const std::string& out : op.outputs) {
-        if (out == boundary || seen.contains(out)) continue;
-        const TensorNode& t = base_graph.tensor(out);
-        if (t.is_weight) continue;
-        bool read_in_backward = false;
-        for (int c : base_graph.ConsumersOf(out)) {
-          if (c >= bwd_begin) read_in_backward = true;
-        }
-        if (!read_in_backward) continue;
-        seen.insert(out);
-        lc.droppable.push_back(out);
-        lc.droppable_bytes +=
-            AlignUp(static_cast<std::size_t>(t.shape.num_elements()) *
-                        ElemBytes(base_options, t),
-                    base_options.alignment);
-      }
-    }
-    layers.push_back(std::move(lc));
-  }
-
-  // Greedy: highest bytes-freed-per-second first; keep the best (lowest)
-  // peak seen over the prefix, so the achieved peak is monotone in how far
-  // the budget forces us down the list.
-  std::vector<LayerCost> order = layers;
-  std::sort(order.begin(), order.end(), [](const LayerCost& a,
-                                           const LayerCost& b) {
-    const double ra = static_cast<double>(a.droppable_bytes) /
-                      std::max(a.recompute_seconds, 1e-12);
-    const double rb = static_cast<double>(b.droppable_bytes) /
-                      std::max(b.recompute_seconds, 1e-12);
-    if (ra != rb) return ra > rb;
-    return a.layer < b.layer;
-  });
-
-  CheckpointedStackPlan best;
-  best.graph = std::move(base_graph);
-  best.plan = std::move(base_plan);
-  if (memory_budget_bytes > 0 &&
-      best.plan.PeakBytes() > memory_budget_bytes) {
-    std::vector<int> recompute;
-    for (const LayerCost& lc : order) {
-      recompute.push_back(lc.layer);
-      auto [g, p] = build(recompute);
-      if (p.PeakBytes() < best.plan.PeakBytes()) {
-        best.graph = std::move(g);
-        best.plan = std::move(p);
-        best.recompute_layers = recompute;
-        std::sort(best.recompute_layers.begin(),
-                  best.recompute_layers.end());
-      }
-      if (best.plan.PeakBytes() <= memory_budget_bytes) break;
-    }
-  }
-
-  const std::set<int> chosen(best.recompute_layers.begin(),
-                             best.recompute_layers.end());
-  for (const LayerCost& lc : layers) {
-    const bool recompute = chosen.contains(lc.layer);
-    if (recompute) best.recompute_seconds += lc.recompute_seconds;
-    for (const std::string& name : lc.droppable) {
-      ActivationDecision d;
-      d.tensor = name;
-      d.layer = lc.layer;
-      d.recompute = recompute;
-      const TensorNode& t = best.graph.tensor(name);
-      d.bytes = AlignUp(static_cast<std::size_t>(t.shape.num_elements()) *
-                            ElemBytes(base_options, t),
-                        base_options.alignment);
-      best.decisions.push_back(std::move(d));
+  // Grow the recompute prefix until the budget fits; keep the best (lowest)
+  // peak seen, so the achieved peak is monotone in how far the budget
+  // forces us down the layers.
+  CheckpointedStackPlan best = build({});
+  std::vector<int> recompute;
+  for (int l = 0; l < base.num_layers && memory_budget_bytes > 0 &&
+                  best.plan.PeakBytes() > memory_budget_bytes;
+       ++l) {
+    recompute.push_back(l);
+    CheckpointedStackPlan candidate = build(recompute);
+    if (candidate.plan.PeakBytes() < best.plan.PeakBytes()) {
+      best = std::move(candidate);
     }
   }
   return best;

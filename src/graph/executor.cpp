@@ -207,8 +207,8 @@ void GraphExecutorT<T>::BuildSchedule() {
   if (options_.use_fused_kernels) {
     const auto fused = fusion::FuseMaximally(graph_);
     for (const auto& kernel : fused.kernels) {
-      if (kernel.op_indices.size() == 1) {
-        push_single(kernel.op_indices.front());
+      if (!kernel.LaunchesAsOneKernel()) {
+        for (int idx : kernel.op_indices) push_single(idx);
         continue;
       }
       StepKind kind = StepKind::kSingle;
@@ -223,11 +223,9 @@ void GraphExecutorT<T>::BuildSchedule() {
       } else if (kernel.name == "EBSB") {
         kind = StepKind::kEBSB;
       }
-      if (kind == StepKind::kSingle) {
-        for (int idx : kernel.op_indices) push_single(idx);
-      } else {
-        steps_.push_back(Step{kind, kernel.op_indices});
-      }
+      check(kind != StepKind::kSingle,
+            StrFormat("no fused launch for kernel '%s'", kernel.name.c_str()));
+      steps_.push_back(Step{kind, kernel.op_indices});
     }
   } else {
     for (std::size_t i = 0; i < graph_.ops().size(); ++i) {

@@ -609,14 +609,10 @@ void CheckFusedSpanLint(const DataflowGraph& g, const PlanOptions& options,
     }
     declared.push_back(span);
   }
-  auto recognized = [](const std::string& name) {
-    return name == "DRLN" || name == "BDRLN" || name == "BRD" ||
-           name == "BLNRD" || name == "BDRB" || name == "EBSB";
-  };
   const auto fused = fusion::FuseMaximally(g);
   std::vector<std::vector<std::string>> launched;
   for (const auto& kernel : fused.kernels) {
-    if (kernel.op_indices.size() < 2 || !recognized(kernel.name)) continue;
+    if (!kernel.LaunchesAsOneKernel()) continue;
     std::vector<std::string> names;
     names.reserve(kernel.op_indices.size());
     for (int idx : kernel.op_indices) {

@@ -10,9 +10,32 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "tensor/tensor.hpp"
 
 namespace xflow::ops {
+
+/// Validates the row-major [b][j] token ids both embedding kernels index
+/// with: their count must be bn * jn and every id must lie in [0, vocab).
+/// Throws InvalidArgument naming the first bad id, its [b][j] position and
+/// the vocab size.
+inline void CheckTokenIds(const std::vector<std::int32_t>& tokens,
+                          std::int64_t bn, std::int64_t jn,
+                          std::int64_t vocab) {
+  require(static_cast<std::int64_t>(tokens.size()) == bn * jn,
+          "token count must equal batch * sequence length");
+  for (std::size_t e = 0; e < tokens.size(); ++e) {
+    const std::int64_t id = tokens[e];
+    if (id >= 0 && id < vocab) continue;
+    const auto pos = static_cast<std::int64_t>(e);
+    require(false, StrFormat("token id %lld at [b=%lld][j=%lld] is outside "
+                             "the vocabulary [0, %lld)",
+                             static_cast<long long>(id),
+                             static_cast<long long>(pos / jn),
+                             static_cast<long long>(pos % jn),
+                             static_cast<long long>(vocab)));
+  }
+}
 
 /// x[i,b,j] = token_table[tokens[b,j], i] + pos_table[j, i], summed in
 /// fp32. `tokens` is row-major [b][j]; ids must lie in [0, vocab).
@@ -24,13 +47,10 @@ void EmbeddingForwardKernel(const Tensor<T>& token_table,
   const std::int64_t bn = x.extent('b');
   const std::int64_t jn = x.extent('j');
   const std::int64_t in = x.extent('i');
-  const std::int64_t vocab = token_table.extent('v');
-  require(static_cast<std::int64_t>(tokens.size()) == bn * jn,
-          "token count must equal batch * sequence length");
+  CheckTokenIds(tokens, bn, jn, token_table.extent('v'));
   for (std::int64_t b = 0; b < bn; ++b) {
     for (std::int64_t j = 0; j < jn; ++j) {
       const auto id = tokens[static_cast<std::size_t>(b * jn + j)];
-      require(id >= 0 && id < vocab, "token id out of range");
       for (std::int64_t i = 0; i < in; ++i) {
         const float tok = float(token_table.at({{'v', id}, {'i', i}}));
         const float pos = float(pos_table.at({{'j', j}, {'i', i}}));
@@ -41,7 +61,8 @@ void EmbeddingForwardKernel(const Tensor<T>& token_table,
 }
 
 /// Scatter-add table gradients with fp32 accumulation; overwrites both
-/// gradient tensors.
+/// gradient tensors. `tokens` is row-major [b][j]; ids must lie in
+/// [0, vocab).
 template <typename T>
 void EmbeddingBackwardKernel(const Tensor<T>& d_x,
                              const std::vector<std::int32_t>& tokens,
@@ -49,8 +70,7 @@ void EmbeddingBackwardKernel(const Tensor<T>& d_x,
   const std::int64_t bn = d_x.extent('b');
   const std::int64_t jn = d_x.extent('j');
   const std::int64_t in = d_x.extent('i');
-  require(static_cast<std::int64_t>(tokens.size()) == bn * jn,
-          "token count must equal batch * sequence length");
+  CheckTokenIds(tokens, bn, jn, d_token_table.extent('v'));
   std::vector<float> acc_tok(static_cast<std::size_t>(d_token_table.size()),
                              0.0f);
   std::vector<float> acc_pos(static_cast<std::size_t>(d_pos_table.size()),

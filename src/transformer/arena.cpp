@@ -56,12 +56,8 @@ graph::PlanOptions StackPlanOptions(const graph::DataflowGraph& graph) {
   // not recycle one into the other. This covers the cross-layer EBSB merge
   // and the checkpoint-clone chains automatically.
   const fusion::FusionResult fused = fusion::FuseMaximally(graph);
-  const auto recognized = [](std::string_view name) {
-    return name == "DRLN" || name == "BDRLN" || name == "BRD" ||
-           name == "BLNRD" || name == "BDRB" || name == "EBSB";
-  };
   for (const fusion::FusedKernel& kernel : fused.kernels) {
-    if (kernel.op_indices.size() < 2 || !recognized(kernel.name)) continue;
+    if (!kernel.LaunchesAsOneKernel()) continue;
     std::vector<std::string> span;
     span.reserve(kernel.op_indices.size());
     for (const int idx : kernel.op_indices) {

@@ -35,7 +35,7 @@ template <typename T>
 graph::PlanOptions StackPlanOptions(const graph::DataflowGraph& graph);
 
 /// One slab for an entire training step: the graph, its plan, and the
-/// checkpoint decisions that shaped it. Every layer's activations and
+/// recompute layers that shaped it. Every layer's activations and
 /// gradients live in this single liveness-planned workspace, so
 /// transients of different layers overlap whenever their
 /// store-until-backward windows permit.
@@ -54,9 +54,7 @@ class StackArenaT {
   explicit StackArenaT(graph::CheckpointedStackPlan plan)
       : graph_(std::move(plan.graph)),
         plan_(std::move(plan.plan)),
-        recompute_layers_(std::move(plan.recompute_layers)),
-        decisions_(std::move(plan.decisions)),
-        recompute_seconds_(plan.recompute_seconds) {
+        recompute_layers_(std::move(plan.recompute_layers)) {
     workspace_.Reserve(plan_.peak_bytes());
   }
 
@@ -83,25 +81,17 @@ class StackArenaT {
   [[nodiscard]] const std::vector<int>& recompute_layers() const {
     return recompute_layers_;
   }
-  [[nodiscard]] const std::vector<graph::ActivationDecision>& decisions()
-      const {
-    return decisions_;
-  }
-  /// Roofline estimate of the extra re-execution per step (seconds).
-  [[nodiscard]] double recompute_seconds() const { return recompute_seconds_; }
 
  private:
   graph::DataflowGraph graph_;
   graph::MemoryPlan plan_;
   Workspace workspace_;
   std::vector<int> recompute_layers_;
-  std::vector<graph::ActivationDecision> decisions_;
-  double recompute_seconds_ = 0;
 };
 
 /// Whole-stack arena for EncoderStackT's graph-executor path. With
 /// `memory_budget_bytes` > 0 the plan is checkpoint-aware: layers are
-/// greedily marked for recompute until the planned peak fits the budget
+/// marked for recompute in order until the planned peak fits the budget
 /// (graph::PlanCheckpointedStack). `options.recompute_layers` is honored
 /// as-is when the budget is 0 and overwritten by the planner otherwise.
 template <typename T>

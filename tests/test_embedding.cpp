@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
+#include "common/strings.hpp"
+#include "graph/executor.hpp"
 #include "test_util.hpp"
+#include "transformer/arena.hpp"
+#include "transformer/stack.hpp"
 
 namespace xflow::transformer {
 namespace {
@@ -41,13 +47,84 @@ TEST(Embedding, SameTokenSharesRows) {
   }
 }
 
+/// The message of the InvalidArgument `fn` throws ("" when it does not).
+template <typename Fn>
+std::string InvalidArgumentMessage(Fn&& fn) {
+  try {
+    fn();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Embedding, RejectsBadInput) {
-  const auto d = EmbDims();
+  // An id outside [0, vocab) must fail by name in both directions; the
+  // backward scatter-add would otherwise write outside the gradient table.
+  const auto d = EmbDims();  // b = 2, j = 4
   EmbeddingT<float> emb(10, d, 3);
   EXPECT_THROW(emb.Forward({1, 2, 3}), InvalidArgument);  // wrong count
   TokenIds bad(static_cast<std::size_t>(d.b * d.j), 0);
-  bad[0] = 99;  // out of vocab
-  EXPECT_THROW(emb.Forward(bad), InvalidArgument);
+  bad[6] = 99;  // [b=1][j=2], out of vocab
+  EXPECT_NE(InvalidArgumentMessage([&] { emb.Forward(bad); })
+                .find("token id 99 at [b=1][j=2] is outside the vocabulary "
+                      "[0, 10)"),
+            std::string::npos);
+
+  auto d_x = TensorF::Full(Shape("ibj", {d.i, d.b, d.j}), 1.0f);
+  TensorF d_tok(Shape("vi", {10, d.i})), d_pos(Shape("ji", {d.j, d.i}));
+  for (const std::int32_t id : {10, -1}) {
+    SCOPED_TRACE(::testing::Message() << "id " << id);
+    TokenIds tokens(static_cast<std::size_t>(d.b * d.j), 1);
+    tokens[3] = id;  // [b=0][j=3]
+    const std::string what = InvalidArgumentMessage(
+        [&] { emb.Backward(d_x, tokens, d_tok, d_pos); });
+    EXPECT_NE(what.find(StrFormat("token id %d at [b=0][j=3] is outside the "
+                                  "vocabulary [0, 10)",
+                                  id)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(Embedding, ExecutorBackwardRejectsIdsReboundAfterForward) {
+  // The executor reads the bound ids again in backward, so ids rebound
+  // between Forward and Backward are checked there too, and the error
+  // names the step that hit them.
+  EncoderConfig cfg;
+  cfg.dims = graph::ModelDims::Tiny();
+  const auto& d = cfg.dims;
+  const std::int64_t vocab = 17;
+  EncoderStack stack(cfg, 1, 31);
+  EmbeddingT<Half> emb(vocab, d, 41);
+  TokenIds tokens(static_cast<std::size_t>(d.b * d.j), 3);
+  const auto target = TensorH::Random(Shape("ibj", {d.i, d.b, d.j}), 8);
+
+  auto arena = MakeStackArena<Half>(
+      cfg, {.num_layers = 1, .vocab = vocab, .include_loss = true});
+  auto& ex = stack.Executor(arena);
+  ex.BindInput("token_table", emb.token_table());
+  ex.BindInput("pos_table", emb.pos_table());
+  ex.BindTokens(tokens);
+  ex.BindInput("target", target);
+  TensorH d_tok(emb.token_table().shape());
+  TensorH d_pos(emb.pos_table().shape());
+  ex.BindOutput("d_token_table", d_tok);
+  ex.BindOutput("d_pos_table", d_pos);
+  EncoderGradients grads;
+  grads.params.EnsureShapes(d);
+  for (auto& [name, tensor] : grads.params.Named()) {
+    ex.BindOutput(StrFormat("L0.d_%s", name.c_str()), *tensor);
+  }
+  ex.Forward();
+  tokens[static_cast<std::size_t>(d.j + 2)] = static_cast<std::int32_t>(vocab);
+  ex.BindTokens(tokens);
+  const std::string what = InvalidArgumentMessage([&] { ex.Backward(); });
+  EXPECT_NE(what.find("token id 17 at [b=1][j=2] is outside the vocabulary "
+                      "[0, 17)"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("[while executing"), std::string::npos) << what;
 }
 
 TEST(Embedding, BackwardAccumulatesRepeatedTokens) {
