@@ -1,37 +1,16 @@
 #include "common/rng.hpp"
 
+#include "common/error.hpp"
+#include "common/strings.hpp"
+
 namespace xflow {
 
-namespace {
-constexpr std::uint32_t kPhiloxM0 = 0xD251'1F53u;
-constexpr std::uint32_t kPhiloxM1 = 0xCD9E'8D57u;
-constexpr std::uint32_t kPhiloxW0 = 0x9E37'79B9u;
-constexpr std::uint32_t kPhiloxW1 = 0xBB67'AE85u;
-
-inline std::uint32_t MulHi(std::uint32_t a, std::uint32_t b) {
-  return static_cast<std::uint32_t>(
-      (static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b)) >> 32);
-}
-inline std::uint32_t MulLo(std::uint32_t a, std::uint32_t b) {
-  return a * b;
-}
-}  // namespace
-
-std::array<std::uint32_t, 4> Philox4x32::Block(std::uint64_t ctr) const {
-  std::array<std::uint32_t, 4> c = {static_cast<std::uint32_t>(ctr),
-                                    static_cast<std::uint32_t>(ctr >> 32), 0u,
-                                    0u};
-  std::array<std::uint32_t, 2> k = key_;
-  for (int round = 0; round < 10; ++round) {
-    const std::uint32_t hi0 = MulHi(kPhiloxM0, c[0]);
-    const std::uint32_t lo0 = MulLo(kPhiloxM0, c[0]);
-    const std::uint32_t hi1 = MulHi(kPhiloxM1, c[2]);
-    const std::uint32_t lo1 = MulLo(kPhiloxM1, c[2]);
-    c = {hi1 ^ c[1] ^ k[0], lo1, hi0 ^ c[3] ^ k[1], lo0};
-    k[0] += kPhiloxW0;
-    k[1] += kPhiloxW1;
+float DropoutKeepScale(float drop_probability) {
+  if (!(drop_probability >= 0.0f && drop_probability <= 1.0f)) {
+    require(false, StrFormat("dropout probability %g is outside [0, 1]",
+                             static_cast<double>(drop_probability)));
   }
-  return c;
+  return drop_probability < 1.0f ? 1.0f / (1.0f - drop_probability) : 0.0f;
 }
 
 std::uint64_t SplitMix64(std::uint64_t& state) {

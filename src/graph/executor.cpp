@@ -69,7 +69,8 @@ GraphExecutorT<T>::GraphExecutorT(DataflowGraph graph, const MemoryPlan* plan,
                                   Workspace* workspace,
                                   ExecutorOptions options)
     : graph_(std::move(graph)), plan_(plan), workspace_(workspace),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      keep_scale_(DropoutKeepScale(options_.dropout_prob)) {
   require(plan_ != nullptr && workspace_ != nullptr,
           "executor needs a memory plan and a workspace");
   require(workspace_->capacity() >= plan_->peak_bytes(),
@@ -561,8 +562,6 @@ void GraphExecutorT<T>::Dispatch(const Step& step) {
   const auto op = [&](std::size_t member) -> const OpNode& {
     return graph_.ops()[static_cast<std::size_t>(step.ops[member])];
   };
-  const float keep = 1.0f - options_.dropout_prob;
-  const float keep_scale = keep > 0 ? 1.0f / keep : 0.0f;
   switch (step.kind) {
     case StepKind::kSingle:
       DispatchSingle(op(0), step.ops[0]);
@@ -605,7 +604,7 @@ void GraphExecutorT<T>::Dispatch(const Step& step) {
       ops::LayerNormDropoutBackward(
           View(ln_dx.inputs[0]), View(ln_dx.inputs[1]), View(ln_dx.inputs[2]),
           StatView(ln_dx.inputs[3]), StatView(ln_dx.inputs[4]),
-          View(drop_dx.inputs[1]), NormDim(ln_dx), keep_scale,
+          View(drop_dx.inputs[1]), NormDim(ln_dx), keep_scale_,
           MutableView(ln_dx.outputs[0]), MutableView(drop_dx.outputs[0]));
       return;
     }
@@ -616,7 +615,7 @@ void GraphExecutorT<T>::Dispatch(const Step& step) {
       const OpNode& bias_lo = op(3);
       ops::BiasDropoutReluBiasBackward(
           View(bias_hi.inputs[0]), View(drop_dx.inputs[0]),
-          View(drop_dx.inputs[1]), View(relu_dx.inputs[1]), keep_scale,
+          View(drop_dx.inputs[1]), View(relu_dx.inputs[1]), keep_scale_,
           MutableView(bias_hi.outputs[0]), MutableView(relu_dx.outputs[0]),
           MutableView(bias_lo.outputs[0]));
       return;
@@ -636,8 +635,6 @@ void GraphExecutorT<T>::Dispatch(const Step& step) {
 
 template <typename T>
 void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
-  const float keep = 1.0f - options_.dropout_prob;
-  const float keep_scale = keep > 0 ? 1.0f / keep : 0.0f;
   switch (op.kind) {
     case OpKind::kContraction: {
       const ContractionOperands& o = contraction_operands_.at(op_index);
@@ -783,12 +780,12 @@ void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
       return;
     case OpKind::kDropoutDX:
       ops::DropoutBackwardDX(View(op.inputs[0]), View(op.inputs[1]),
-                             keep_scale, MutableView(op.outputs[0]));
+                             keep_scale_, MutableView(op.outputs[0]));
       return;
     case OpKind::kScaledSoftmaxDX:
       ops::ScaledSoftmaxBackwardDX(View(op.inputs[0]), View(op.inputs[1]),
                                    View(op.inputs[2]), ReduceDim(op),
-                                   options_.attn_scale, keep_scale,
+                                   options_.attn_scale, keep_scale_,
                                    MutableView(op.outputs[0]));
       return;
     case OpKind::kLayerNormDX:

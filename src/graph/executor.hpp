@@ -197,6 +197,7 @@ class GraphExecutorT {
   const MemoryPlan* plan_;
   Workspace* workspace_;
   ExecutorOptions options_;
+  float keep_scale_;  // DropoutKeepScale(options_.dropout_prob)
 
   std::map<std::string, Tensor<T>> bound_;  // planned views + externals
   std::map<std::string, bool> writable_;    // externals only

@@ -55,6 +55,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -65,20 +67,10 @@
 #include <vector>
 
 #include "common/function_ref.hpp"
+#include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/threadpool.hpp"
 #include "ops/iter.hpp"
-
-// SIMD hint layer: compiled with -fopenmp-simd (no OpenMP runtime) when the
-// toolchain supports it; otherwise the pragma vanishes and the loops run
-// scalar with bitwise-identical results -- every loop under XFLOW_SIMD is
-// either element-wise independent or a fixed-lane accumulation, so
-// vectorization never changes the arithmetic, only the speed.
-#if defined(XFLOW_HAVE_OPENMP_SIMD)
-#define XFLOW_PRAGMA(x) _Pragma(#x)
-#define XFLOW_SIMD XFLOW_PRAGMA(omp simd)
-#else
-#define XFLOW_SIMD
-#endif
 
 namespace xflow::ops::detail {
 
@@ -176,12 +168,17 @@ inline Row<kUnit, T> RowOf(const View<T, 4>& v, std::int64_t a,
 // vectorizer peeling can reorder it), of whether the row is staged scratch
 // or tensor memory, and of whether the build vectorizes at all -- while
 // still giving the compiler an embarrassingly-vectorizable inner loop.
+// The helpers are compiled out of line ([[gnu::noinline]]), so every
+// kernel runs the same instructions: where the compiler contracts
+// `a * b + c` into an FMA, separately inlined copies of one loop may
+// contract differently and break the bitwise matches.
 
 constexpr int kRowLanes = 8;  // one AVX2 fp32 vector
 
 /// max over k of scale * r[k].
 template <typename R>
-inline float RowMax(const R& r, std::int64_t n, float scale) {
+[[gnu::noinline]] inline float RowMax(const R& r, std::int64_t n,
+                                      float scale) {
   alignas(32) float lane[kRowLanes];
   for (int j = 0; j < kRowLanes; ++j) {
     lane[j] = -std::numeric_limits<float>::infinity();
@@ -203,8 +200,8 @@ inline float RowMax(const R& r, std::int64_t n, float scale) {
 
 /// sum and sum of squares of r[k] (layernorm moments).
 template <typename R>
-inline void RowMoments(const R& r, std::int64_t n, float* sum,
-                       float* sum_sq) {
+[[gnu::noinline]] inline void RowMoments(const R& r, std::int64_t n,
+                                         float* sum, float* sum_sq) {
   alignas(32) float ls[kRowLanes] = {};
   alignas(32) float lss[kRowLanes] = {};
   std::int64_t k = 0;
@@ -230,9 +227,23 @@ inline void RowMoments(const R& r, std::int64_t n, float* sum,
   *sum_sq = ss;
 }
 
+/// Layernorm row statistics from RowMoments' sums: the mean, and
+/// 1 / sqrt(var + eps) with var = E[x^2] - mean^2 clamped at 0. Out of
+/// line like the reductions: `sum_sq * inv_n - mean * mean` can fuse
+/// either product into an FMA.
+[[gnu::noinline]] inline void RowNormStats(float sum, float sum_sq,
+                                           float inv_n, float eps, float* mu,
+                                           float* rs) {
+  const float mean = sum * inv_n;
+  const float var = std::max(sum_sq * inv_n - mean * mean, 0.0f);
+  *mu = mean;
+  *rs = 1.0f / std::sqrt(var + eps);
+}
+
 /// sum over k of a[k] * b[k] (softmax dX inner product).
 template <typename RA, typename RB>
-inline float RowDot(const RA& a, const RB& b, std::int64_t n) {
+[[gnu::noinline]] inline float RowDot(const RA& a, const RB& b,
+                                      std::int64_t n) {
   alignas(32) float lane[kRowLanes] = {};
   std::int64_t k = 0;
   for (; k + kRowLanes <= n; k += kRowLanes) {
@@ -251,9 +262,10 @@ inline float RowDot(const RA& a, const RB& b, std::int64_t n) {
 /// dX reductions. Shared by LayerNormBackwardDX and the fused
 /// LayerNormDropoutBackward so their dX streams stay bitwise equal.
 template <typename RD, typename RG, typename RX>
-inline void RowNormDots(const RD& dyr, const RG& gr, const RX& xr, float mu,
-                        float rs, std::int64_t n, float* sum_g,
-                        float* sum_gx) {
+[[gnu::noinline]] inline void RowNormDots(const RD& dyr, const RG& gr,
+                                          const RX& xr, float mu, float rs,
+                                          std::int64_t n, float* sum_g,
+                                          float* sum_gx) {
   alignas(32) float lg[kRowLanes] = {};
   alignas(32) float lgx[kRowLanes] = {};
   std::int64_t k = 0;
@@ -284,8 +296,9 @@ inline void RowNormDots(const RD& dyr, const RG& gr, const RX& xr, float mu,
 /// sum over k of (da[k] * m[k] * keep_scale) * s[k] -- the scaled-softmax
 /// dX inner product through the dropout mask.
 template <typename RA, typename RM, typename RS>
-inline float RowDropoutDot(const RA& dar, const RM& mr, const RS& sr,
-                           float keep_scale, std::int64_t n) {
+[[gnu::noinline]] inline float RowDropoutDot(const RA& dar, const RM& mr,
+                                             const RS& sr, float keep_scale,
+                                             std::int64_t n) {
   alignas(32) float lane[kRowLanes] = {};
   std::int64_t k = 0;
   for (; k + kRowLanes <= n; k += kRowLanes) {
@@ -302,6 +315,39 @@ inline float RowDropoutDot(const RA& dar, const RM& mr, const RS& sr,
   float acc = 0;
   for (int j = 0; j < kRowLanes; ++j) acc += lane[j];
   return acc;
+}
+
+// -------------------------------------------------------- dropout masks
+// The mask kernels draw a row's keep flags a chunk at a time through
+// DropoutMask::KeepFlags (block-batched Philox, see common/rng.hpp) and
+// then run their element loop over the flags. The flags live on the row
+// body's stack, never in ThreadScratch: the staged path holds its scratch
+// tile while the body runs.
+
+constexpr std::int64_t kMaskChunk = 512;
+
+/// keep ? v : +0.0f, as a bit mask instead of a conditional: the compiler
+/// may not hoist a floating-point op out of a conditional arm, so
+/// `keep ? v * scale : 0.0f` would keep the loop from vectorizing.
+inline float KeepOrZero(bool keep, float v) {
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(v) &
+                              (0u - static_cast<std::uint32_t>(keep)));
+}
+
+/// Calls fn(d0, len, keep) for consecutive chunks [d0, d0 + len) of a row
+/// of n elements; keep[t] is the mask's flag for canonical index
+/// base + (d0 + t) * stride.
+template <typename Fn>
+inline void ForEachMaskChunk(const DropoutMask& mask, std::int64_t base,
+                             std::int64_t stride, std::int64_t n, Fn&& fn) {
+  std::array<std::uint8_t, kMaskChunk> keep;
+  for (std::int64_t d0 = 0; d0 < n; d0 += kMaskChunk) {
+    const std::int64_t len = std::min(kMaskChunk, n - d0);
+    mask.KeepFlags(static_cast<std::uint64_t>(base + d0 * stride),
+                   static_cast<std::uint64_t>(stride),
+                   std::span(keep.data(), static_cast<std::size_t>(len)));
+    fn(d0, len, keep.data());
+  }
 }
 
 // ------------------------------------------------------- parallel rows

@@ -7,8 +7,10 @@
 namespace xflow::ops {
 
 using detail::Dot;
+using detail::ForEachMaskChunk;
 using detail::ForEachRow;
 using detail::In;
+using detail::KeepOrZero;
 using detail::LoopOverOutput;
 using detail::Out;
 using detail::Pass;
@@ -67,13 +69,16 @@ void DropoutForward(const Tensor<T>& x, const DropoutMask& mask, Tensor<T>& y,
       ld,
       [&, n](std::int64_t a, std::int64_t b, std::int64_t c, const auto& xr,
              const auto& yr, const auto& mr) {
-        const std::int64_t base = Dot(canon, a, b, c, 0);
-        for (std::int64_t d = 0; d < n; ++d) {
-          const bool keep =
-              mask.Keep(static_cast<std::uint64_t>(base + d * canon[3]));
-          yr[d] = T(keep ? float(xr[d]) * scale : 0.0f);
-          mr[d] = T(keep ? 1.0f : 0.0f);
-        }
+        ForEachMaskChunk(
+            mask, Dot(canon, a, b, c, 0), canon[3], n,
+            [&](std::int64_t d0, std::int64_t len, const std::uint8_t* keep) {
+              XFLOW_SIMD
+              for (std::int64_t t = 0; t < len; ++t) {
+                const std::int64_t d = d0 + t;
+                yr[d] = T(KeepOrZero(keep[t], float(xr[d]) * scale));
+                mr[d] = T(keep[t] ? 1.0f : 0.0f);
+              }
+            });
       },
       In{xv}, Out{yv}, Out{mv});
 }

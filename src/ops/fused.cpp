@@ -1,6 +1,5 @@
 #include "ops/fused.hpp"
 
-#include <cmath>
 #include <vector>
 
 #include "ops/detail.hpp"
@@ -8,9 +7,11 @@
 namespace xflow::ops {
 
 using detail::Dot;
+using detail::ForEachMaskChunk;
 using detail::ForEachRow;
 using detail::ForEachRowReduce;
 using detail::In;
+using detail::KeepOrZero;
 using detail::LoopOverOutput;
 using detail::LoopWithInnermost;
 using detail::Off;
@@ -18,6 +19,7 @@ using detail::Out;
 using detail::Pass;
 using detail::RowMoments;
 using detail::RowNormDots;
+using detail::RowNormStats;
 
 template <typename T>
 void AttnInputBias(const std::array<const Tensor<T>*, 3>& inputs,
@@ -70,20 +72,23 @@ void BiasReluDropout(const Tensor<T>& x, const Tensor<T>& bias,
       [&, n, scale](std::int64_t a, std::int64_t b, std::int64_t c,
                     const auto& xr, const auto& br, const auto& rr,
                     const auto& yr, const auto& mr) {
-        const std::int64_t base = Dot(canon, a, b, c, 0);
-        for (std::int64_t d = 0; d < n; ++d) {
-          float v = float(xr[d]) + float(br[d]);
-          v = v > 0.0f ? v : 0.0f;
-          // ReLU is saved in fp16, so the backward pass sees the rounded
-          // value: recompute the dropout from that rounded number, exactly
-          // as the separate-kernel pipeline would.
-          const T r = T(v);
-          rr[d] = r;
-          const bool keep =
-              mask.Keep(static_cast<std::uint64_t>(base + d * canon[3]));
-          yr[d] = T(keep ? float(r) * scale : 0.0f);
-          mr[d] = T(keep ? 1.0f : 0.0f);
-        }
+        ForEachMaskChunk(
+            mask, Dot(canon, a, b, c, 0), canon[3], n,
+            [&](std::int64_t d0, std::int64_t len, const std::uint8_t* keep) {
+              XFLOW_SIMD
+              for (std::int64_t t = 0; t < len; ++t) {
+                const std::int64_t d = d0 + t;
+                float v = float(xr[d]) + float(br[d]);
+                v = v > 0.0f ? v : 0.0f;
+                // ReLU is saved in fp16, so the backward pass sees the
+                // rounded value: recompute the dropout from that rounded
+                // number (read back from the row), exactly as the
+                // separate-kernel pipeline would.
+                rr[d] = T(v);
+                yr[d] = T(KeepOrZero(keep[t], float(rr[d]) * scale));
+                mr[d] = T(keep[t] ? 1.0f : 0.0f);
+              }
+            });
       },
       In{xv}, Pass{bv}, Out{rv}, Out{yv}, Out{mv});
 }
@@ -122,27 +127,31 @@ void BiasDropoutResidualLayerNorm(const Tensor<T>& x, const Tensor<T>& bias,
                                 const auto& gr, const auto& betar,
                                 const auto& resr, const auto& mr,
                                 const auto& yr) {
-        const std::int64_t base = Dot(canon, a, b, c, 0);
         // Loop 1: bias + dropout + residual.
-        for (std::int64_t k = 0; k < n; ++k) {
-          // Match the unfused pipeline bit-for-bit: every interim that the
-          // separate-kernel pipeline would write to memory (biased value,
-          // dropout output) is rounded to T at the same point here.
-          const float biased = float(T(float(xr[k]) + float(br[k])));
-          const bool keep =
-              mask.Keep(static_cast<std::uint64_t>(base + k * canon[3]));
-          const float dropped = float(T(keep ? biased * scale : 0.0f));
-          resr[k] = T(dropped + float(resinr[k]));
-          mr[k] = T(keep ? 1.0f : 0.0f);
-        }
+        ForEachMaskChunk(
+            mask, Dot(canon, a, b, c, 0), canon[3], n,
+            [&](std::int64_t k0, std::int64_t len, const std::uint8_t* keep) {
+              XFLOW_SIMD
+              for (std::int64_t t = 0; t < len; ++t) {
+                const std::int64_t k = k0 + t;
+                // Match the unfused pipeline bit-for-bit: every interim
+                // that the separate-kernel pipeline would write to memory
+                // (biased value, dropout output) is rounded to T at the
+                // same point here.
+                const float biased = float(T(float(xr[k]) + float(br[k])));
+                const float dropped =
+                    float(T(KeepOrZero(keep[t], biased * scale)));
+                resr[k] = T(dropped + float(resinr[k]));
+                mr[k] = T(keep[t] ? 1.0f : 0.0f);
+              }
+            });
         // Moments over the saved residual row -- through the same helper
         // LayerNormForward uses, so fused mean/rstd match the unfused
         // pipeline bitwise.
         float sum = 0, sum_sq = 0;
         RowMoments(resr, n, &sum, &sum_sq);
-        const float mu = sum * inv_n;
-        const float var = std::max(sum_sq * inv_n - mu * mu, 0.0f);
-        const float rs = 1.0f / std::sqrt(var + eps);
+        float mu = 0, rs = 0;
+        RowNormStats(sum, sum_sq, inv_n, eps, &mu, &rs);
         meanv.ptr[Off(meanv, a, b, c, 0)] = mu;
         rstdv.ptr[Off(rstdv, a, b, c, 0)] = rs;
         // Loop 2: apply the normalization.

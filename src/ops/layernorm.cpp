@@ -1,6 +1,5 @@
 #include "ops/layernorm.hpp"
 
-#include <cmath>
 #include <vector>
 
 #include "ops/detail.hpp"
@@ -15,6 +14,7 @@ using detail::Off;
 using detail::Out;
 using detail::RowMoments;
 using detail::RowNormDots;
+using detail::RowNormStats;
 
 template <typename T>
 void LayerNormForward(const Tensor<T>& x, const Tensor<T>& gamma,
@@ -36,9 +36,8 @@ void LayerNormForward(const Tensor<T>& x, const Tensor<T>& gamma,
                          const auto& yr) {
         float sum = 0, sum_sq = 0;
         RowMoments(xr, n, &sum, &sum_sq);
-        const float mu = sum * inv_n;
-        const float var = std::max(sum_sq * inv_n - mu * mu, 0.0f);
-        const float rs = 1.0f / std::sqrt(var + eps);
+        float mu = 0, rs = 0;
+        RowNormStats(sum, sum_sq, inv_n, eps, &mu, &rs);
         meanv.ptr[Off(meanv, a, b, c, 0)] = mu;
         rstdv.ptr[Off(rstdv, a, b, c, 0)] = rs;
         XFLOW_SIMD

@@ -1,19 +1,48 @@
 #include "ops/softmax.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "ops/detail.hpp"
 
 namespace xflow::ops {
 
 using detail::Dot;
+using detail::ForEachMaskChunk;
 using detail::ForEachRow;
 using detail::In;
+using detail::KeepOrZero;
 using detail::LoopWithInnermost;
 using detail::Out;
 using detail::RowDot;
 using detail::RowDropoutDot;
 using detail::RowMax;
+
+namespace {
+
+/// e[k] = exp(scale * r[k] - max_v) for k < n, returning their sum in
+/// ascending k. The forward kernels compute each exp once and normalize
+/// from `e` (a vectorizable loop) instead of calling exp a second time:
+/// the same values, half the exp calls. `e` is per-thread storage, not
+/// ThreadScratch, which the staged path holds while the row body runs.
+template <typename R>
+float ExpRow(const R& r, std::int64_t n, float scale, float max_v,
+             float*& e) {
+  thread_local std::vector<float> row;
+  if (static_cast<std::int64_t>(row.size()) < n) {
+    row.resize(static_cast<std::size_t>(n));
+  }
+  e = row.data();
+  float sum = 0;
+  for (std::int64_t k = 0; k < n; ++k) {
+    e[k] = std::exp(scale * float(r[k]) - max_v);
+    sum += e[k];
+  }
+  return sum;
+}
+
+}  // namespace
 
 template <typename T>
 void SoftmaxForward(const Tensor<T>& x, char reduce_dim, Tensor<T>& y) {
@@ -26,14 +55,10 @@ void SoftmaxForward(const Tensor<T>& x, char reduce_dim, Tensor<T>& y) {
       [n](std::int64_t, std::int64_t, std::int64_t, const auto& xr,
           const auto& yr) {
         const float max_v = RowMax(xr, n, 1.0f);
-        float sum = 0;
-        for (std::int64_t k = 0; k < n; ++k) {
-          sum += std::exp(float(xr[k]) - max_v);
-        }
-        const float inv = 1.0f / sum;
-        for (std::int64_t k = 0; k < n; ++k) {
-          yr[k] = T(std::exp(float(xr[k]) - max_v) * inv);
-        }
+        float* e = nullptr;
+        const float inv = 1.0f / ExpRow(xr, n, 1.0f, max_v, e);
+        XFLOW_SIMD
+        for (std::int64_t k = 0; k < n; ++k) yr[k] = T(e[k] * inv);
       },
       In{xv}, Out{yv});
 }
@@ -56,21 +81,21 @@ void ScaledSoftmaxForward(const Tensor<T>& beta, char reduce_dim, float scale,
                                 std::int64_t c, const auto& br,
                                 const auto& ar, const auto& mr,
                                 const auto& sr) {
-        const std::int64_t base = Dot(canon, a, b, c, 0);
         const float max_v = RowMax(br, n, scale);
-        float sum = 0;
-        for (std::int64_t k = 0; k < n; ++k) {
-          sum += std::exp(scale * float(br[k]) - max_v);
-        }
-        const float inv = 1.0f / sum;
-        for (std::int64_t k = 0; k < n; ++k) {
-          const float soft = std::exp(scale * float(br[k]) - max_v) * inv;
-          const bool keep =
-              mask.Keep(static_cast<std::uint64_t>(base + k * canon[3]));
-          sr[k] = T(soft);
-          mr[k] = T(keep ? 1.0f : 0.0f);
-          ar[k] = T(keep ? soft * keep_scale : 0.0f);
-        }
+        float* e = nullptr;
+        const float inv = 1.0f / ExpRow(br, n, scale, max_v, e);
+        ForEachMaskChunk(
+            mask, Dot(canon, a, b, c, 0), canon[3], n,
+            [&](std::int64_t k0, std::int64_t len, const std::uint8_t* keep) {
+              XFLOW_SIMD
+              for (std::int64_t t = 0; t < len; ++t) {
+                const std::int64_t k = k0 + t;
+                const float soft = e[k] * inv;
+                sr[k] = T(soft);
+                mr[k] = T(keep[t] ? 1.0f : 0.0f);
+                ar[k] = T(KeepOrZero(keep[t], soft * keep_scale));
+              }
+            });
       },
       In{bv}, Out{av}, Out{mv}, Out{sv});
 }
@@ -101,26 +126,33 @@ void CausalScaledSoftmaxForward(const Tensor<T>& beta, char reduce_dim,
       [&, n, scale, keep_scale, query_slot](
           std::int64_t a, std::int64_t b, std::int64_t c, const auto& br,
           const auto& ar, const auto& mr, const auto& sr) {
-        const std::int64_t base = Dot(canon, a, b, c, 0);
         const std::int64_t q = query_slot == 0 ? a : query_slot == 1 ? b : c;
         const std::int64_t visible = std::min(q + 1, n);
         const float max_v = RowMax(br, visible, scale);
-        float sum = 0;
-        for (std::int64_t k = 0; k < visible; ++k) {
-          sum += std::exp(scale * float(br[k]) - max_v);
-        }
-        const float inv = 1.0f / sum;
-        for (std::int64_t k = 0; k < n; ++k) {
-          float soft = 0;
-          if (k < visible) {
-            soft = std::exp(scale * float(br[k]) - max_v) * inv;
-          }
-          const bool keep =
-              mask.Keep(static_cast<std::uint64_t>(base + k * canon[3]));
-          sr[k] = T(soft);
-          mr[k] = T(keep ? 1.0f : 0.0f);
-          ar[k] = T(keep && k < visible ? soft * keep_scale : 0.0f);
-        }
+        float* e = nullptr;
+        const float inv = 1.0f / ExpRow(br, visible, scale, max_v, e);
+        ForEachMaskChunk(
+            mask, Dot(canon, a, b, c, 0), canon[3], n,
+            [&](std::int64_t k0, std::int64_t len, const std::uint8_t* keep) {
+              // Keys past the query (k >= visible) are masked out: soft
+              // and alpha are +0 there, and e[k] is not read.
+              const std::int64_t seen =
+                  std::clamp(visible - k0, std::int64_t{0}, len);
+              XFLOW_SIMD
+              for (std::int64_t t = 0; t < seen; ++t) {
+                const std::int64_t k = k0 + t;
+                const float soft = e[k] * inv;
+                sr[k] = T(soft);
+                mr[k] = T(keep[t] ? 1.0f : 0.0f);
+                ar[k] = T(KeepOrZero(keep[t], soft * keep_scale));
+              }
+              for (std::int64_t t = seen; t < len; ++t) {
+                const std::int64_t k = k0 + t;
+                sr[k] = T(0.0f);
+                mr[k] = T(keep[t] ? 1.0f : 0.0f);
+                ar[k] = T(0.0f);
+              }
+            });
       },
       In{bv}, Out{av}, Out{mv}, Out{sv});
 }

@@ -1,8 +1,6 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <type_traits>
 #include <vector>
 
 #include "common/threadpool.hpp"
@@ -277,49 +275,14 @@ namespace {
 
 // Shared writeback for the specialized kernels -- the exact float-op
 // sequence of GemmTile's general writeback branch, so a specialized
-// class is bitwise identical to the generic pipeline for any beta
-// (LoweredHalfBits produces Half::FromFloat's bits exactly).
-template <typename TOut>
-inline TOut StoreOut(float v) {
-  if constexpr (std::is_same_v<TOut, Half>) {
-    return Half::FromBits(LoweredHalfBits(v));
-  } else {
-    return TOut(v);
-  }
-}
-
+// class is bitwise identical to the generic pipeline for any beta.
 template <typename TOut>
 inline void WriteBack(TOut& dst, float acc, float alpha, float beta) {
   const float prior = beta == 0.0f ? 0.0f : beta * float(dst);
-  dst = StoreOut<TOut>(alpha * acc + prior);
+  dst = TOut(alpha * acc + prior);
 }
 
 }  // namespace
-
-std::uint16_t LoweredHalfBits(float f) {
-  const std::uint32_t u = std::bit_cast<std::uint32_t>(f);
-  const std::uint32_t sign = (u >> 16) & 0x8000u;
-  const std::uint32_t au = u & 0x7FFF'FFFFu;
-  // Normal range: round the 13 excess mantissa bits to nearest-even by
-  // adding 0x0FFF plus the round-to-odd bit directly on the float bits
-  // (a mantissa carry bumps the exponent for free), then rebias the
-  // exponent by 127 - 15. Values past the half range saturate at the Inf
-  // pattern; NaN squashes to the same quiet NaN FromFloat produces.
-  std::uint32_t n = ((au + 0x0FFFu + ((au >> 13) & 1u)) >> 13) - (112u << 10);
-  n = n > 0x7C00u ? 0x7C00u : n;
-  n = au > 0x7F80'0000u ? 0x7E00u : n;
-  // Subnormal range (|f| < 2^-14): adding 0.5f aligns the value's bits to
-  // the half-subnormal grid (ulp 2^-24 == ulp of 0.5f) and the float
-  // adder's round-to-nearest-even performs the rounding; subtracting the
-  // 0.5f pattern leaves exactly the rounded subnormal payload (underflow
-  // falls out as zero).
-  const std::uint32_t s =
-      std::bit_cast<std::uint32_t>(std::bit_cast<float>(au) +
-                                   std::bit_cast<float>(0x3F00'0000u)) -
-      0x3F00'0000u;
-  const std::uint32_t out = au >= 0x3880'0000u ? n : s;
-  return static_cast<std::uint16_t>(sign | out);
-}
 
 template <typename TIn, typename TOut>
 void GemvOffsets(const TIn* a, const TIn* x, TOut* y,
@@ -381,13 +344,12 @@ void GerOffsets(const TIn* a, const TIn* b, TOut* c,
     if (contiguous && beta == 0.0f) {
       // Unit-stride output row and no prior term: a pure elementwise
       // multiply + branch-free convert, which vectorizes. The general
-      // loop below cannot -- the offset-table store is a scatter and the
-      // beta path's Half load converts through branchy code.
+      // loop below cannot -- the offset-table store is a scatter.
       TOut* cp = crow + c_n[0];
       for (std::int64_t n = 0; n < cols; ++n) {
         float acc = 0.0f;
         acc += av * bf[static_cast<std::size_t>(n)];
-        cp[n] = StoreOut<TOut>(alpha * acc);
+        cp[n] = TOut(alpha * acc);
       }
     } else {
       for (std::int64_t n = 0; n < cols; ++n) {

@@ -47,15 +47,6 @@ void GemmOffsets(const TIn* a, const TIn* b, TOut* c,
 // writeback -- so results are bitwise identical to GemmOffsets at every
 // thread count and for every row grain.
 
-/// Bit-exact branch-free twin of Half::FromFloat (verified exhaustively
-/// over all 2^32 float patterns by test_einsum). The class converter's
-/// data-dependent branches block if-conversion, so writeback loops using
-/// it cannot vectorize; this formulation is straight-line integer
-/// arithmetic plus one float add (which performs the subnormal rounding
-/// in hardware, round-to-nearest-even like the software path). The
-/// specialized kernels below store Half results through it.
-std::uint16_t LoweredHalfBits(float f);
-
 /// y[y_m[r]] = alpha * sum_k A[a_m[r] + a_k[k]] * x[x_k[k]] + beta * y[...]
 /// Matrix-vector product (the n == 1 class; callers with m == 1 swap the
 /// operand roles). Rows are partitioned over the pool in `row_grain`-row

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
-#include <new>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -29,6 +28,7 @@
 #include "common/half.hpp"
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
+#include "tensor/buffer.hpp"
 #include "tensor/memstats.hpp"
 #include "tensor/shape.hpp"
 
@@ -105,15 +105,22 @@ class Tensor {
   ~Tensor() { Release(); }
 
   /// Uniform values in [-1, 1), deterministic in (seed) and independent of
-  /// the thread count (each element is a pure function of its index).
+  /// the thread count: element i is 2 * gen.UniformAt(i) - 1, drawn one
+  /// Philox block per four elements.
   static Tensor Random(Shape shape, std::uint64_t seed) {
     Tensor t = Uninitialized(std::move(shape));
     const Philox4x32 gen(seed);
     T* data = t.data_;
     ForEachChunk(t.size(), [data, &gen](std::int64_t begin, std::int64_t end) {
-      for (std::int64_t i = begin; i < end; ++i) {
-        data[i] =
-            T(gen.UniformAt(static_cast<std::uint64_t>(i)) * 2.0f - 1.0f);
+      constexpr std::int64_t kBatch = 256;
+      std::uint32_t words[kBatch];
+      for (std::int64_t i = begin; i < end; i += kBatch) {
+        const auto len = static_cast<std::size_t>(std::min(kBatch, end - i));
+        gen.Words(static_cast<std::uint64_t>(i), 1, std::span(words, len));
+        for (std::size_t w = 0; w < len; ++w) {
+          data[i + static_cast<std::int64_t>(w)] =
+              T(Philox4x32::Uniform(words[w]) * 2.0f - 1.0f);
+        }
       }
     });
     return t;
@@ -297,19 +304,18 @@ class Tensor {
     return t;
   }
 
+  [[nodiscard]] std::size_t Bytes() const {
+    return static_cast<std::size_t>(shape_.num_elements()) * sizeof(T);
+  }
+
   void AllocateOwned() {
-    const std::size_t bytes =
-        static_cast<std::size_t>(shape_.num_elements()) * sizeof(T);
-    data_ = static_cast<T*>(
-        ::operator new(bytes, std::align_val_t{kAlignment}));
+    data_ = static_cast<T*>(AllocateBuffer(Bytes()));
     owns_ = true;
-    memstats::RecordTensorAlloc(static_cast<std::int64_t>(bytes));
+    memstats::RecordTensorAlloc(static_cast<std::int64_t>(Bytes()));
   }
 
   void Release() {
-    if (owns_ && data_ != nullptr) {
-      ::operator delete(data_, std::align_val_t{kAlignment});
-    }
+    if (owns_) FreeBuffer(data_, Bytes());
     data_ = nullptr;
     owns_ = false;
   }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <new>
 
 #include "common/threadpool.hpp"
+#include "tensor/buffer.hpp"
 #include "tensor/memstats.hpp"
 
 namespace xflow {
@@ -32,9 +32,7 @@ Workspace& Workspace::operator=(Workspace&& other) noexcept {
 }
 
 void Workspace::Release() {
-  if (slab_ != nullptr) {
-    ::operator delete(slab_, std::align_val_t{kAlignment});
-  }
+  FreeBuffer(slab_, capacity_);
   slab_ = nullptr;
   capacity_ = 0;
   cursor_ = 0;
@@ -45,8 +43,7 @@ void Workspace::Reserve(std::size_t bytes) {
   if (bytes <= capacity_) return;
   const std::size_t cursor = cursor_;
   Release();
-  slab_ = static_cast<std::byte*>(
-      ::operator new(bytes, std::align_val_t{kAlignment}));
+  slab_ = static_cast<std::byte*>(AllocateBuffer(bytes));
   capacity_ = bytes;
   cursor_ = cursor;
   memstats::RecordWorkspaceAlloc(static_cast<std::int64_t>(bytes));

@@ -121,7 +121,9 @@ void EncoderParamsT<T>::EnsureShapes(const graph::ModelDims& d) {
 
 template <typename T>
 EncoderLayerT<T>::EncoderLayerT(EncoderConfig config, EncoderParamsT<T> params)
-    : config_(std::move(config)), params_(std::move(params)) {}
+    : config_(std::move(config)),
+      params_(std::move(params)),
+      keep_scale_(DropoutKeepScale(config_.dropout_prob)) {}
 
 template <typename T>
 const Tensor<T>& EncoderLayerT<T>::Forward(const Tensor<T>& x,
@@ -272,8 +274,6 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
                                 EncoderGradientsT<T>& grads) const {
   const auto& d = config_.dims;
   const float attn_scale = 1.0f / std::sqrt(static_cast<float>(d.p));
-  const float keep = 1.0f - config_.dropout_prob;
-  const float keep_scale = keep > 0 ? 1.0f / keep : 0.0f;
   const Shape ibj("ibj", {d.i, d.b, d.j});
   const Shape ubj("ubj", {d.u, d.b, d.j});
   const Shape hbjk("hbjk", {d.h, d.b, d.j, d.k});
@@ -294,12 +294,12 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
   if (config_.use_fused_kernels) {
     ops::LayerNormDropoutBackward(d_y, params_.ln2_w, acts.resid2,
                                   acts.ln2_mean, acts.ln2_rstd,
-                                  acts.lin2_drop_mask, 'i', keep_scale,
+                                  acts.lin2_drop_mask, 'i', keep_scale_,
                                   d_resid2, d_lin2_biased);
   } else {
     ops::LayerNormBackwardDX(d_y, params_.ln2_w, acts.resid2, acts.ln2_mean,
                              acts.ln2_rstd, 'i', d_resid2);
-    ops::DropoutBackwardDX(d_resid2, acts.lin2_drop_mask, keep_scale,
+    ops::DropoutBackwardDX(d_resid2, acts.lin2_drop_mask, keep_scale_,
                            d_lin2_biased);
   }
 
@@ -313,11 +313,11 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
   if (config_.use_fused_kernels) {
     ops::BiasDropoutReluBiasBackward(d_lin2_biased, d_ff_dropped,
                                      acts.ff_drop_mask, acts.relu1,
-                                     keep_scale, gp.b2, d_lin1_biased, gp.b1);
+                                     keep_scale_, gp.b2, d_lin1_biased, gp.b1);
   } else {
     ops::BiasBackwardDW(d_lin2_biased, gp.b2);
     Tensor<T> d_relu(ubj);
-    ops::DropoutBackwardDX(d_ff_dropped, acts.ff_drop_mask, keep_scale,
+    ops::DropoutBackwardDX(d_ff_dropped, acts.ff_drop_mask, keep_scale_,
                            d_relu);
     ops::ReluBackwardDX(d_relu, acts.relu1, d_lin1_biased);
     ops::BiasBackwardDW(d_lin1_biased, gp.b1);
@@ -346,12 +346,12 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
   if (config_.use_fused_kernels) {
     ops::LayerNormDropoutBackward(d_ln1_out, params_.ln1_w, acts.resid1,
                                   acts.ln1_mean, acts.ln1_rstd,
-                                  acts.attn_drop_mask, 'i', keep_scale,
+                                  acts.attn_drop_mask, 'i', keep_scale_,
                                   d_resid1, d_attn_biased);
   } else {
     ops::LayerNormBackwardDX(d_ln1_out, params_.ln1_w, acts.resid1,
                              acts.ln1_mean, acts.ln1_rstd, 'i', d_resid1);
-    ops::DropoutBackwardDX(d_resid1, acts.attn_drop_mask, keep_scale,
+    ops::DropoutBackwardDX(d_resid1, acts.attn_drop_mask, keep_scale_,
                            d_attn_biased);
   }
 
@@ -370,7 +370,7 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
   // BS: dropout + softmax + scaling backward.
   Tensor<T> d_beta(hbjk);
   ops::ScaledSoftmaxBackwardDX(d_alpha, acts.attn_mask, acts.softmax_saved,
-                               'k', attn_scale, keep_scale, d_beta);
+                               'k', attn_scale, keep_scale_, d_beta);
 
   // QKT dX1 / dX2.
   Tensor<T> d_kk(phbk);

@@ -107,6 +107,7 @@ class EncoderLayerT {
  private:
   EncoderConfig config_;
   EncoderParamsT<T> params_;
+  float keep_scale_;  // DropoutKeepScale(config_.dropout_prob)
 };
 
 using EncoderParams = EncoderParamsT<Half>;

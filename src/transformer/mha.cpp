@@ -85,7 +85,9 @@ void MhaParamsT<T>::EnsureShapes(const graph::ModelDims& d) {
 
 template <typename T>
 MhaLayerT<T>::MhaLayerT(MhaConfig config, MhaParamsT<T> params)
-    : config_(std::move(config)), params_(std::move(params)) {}
+    : config_(std::move(config)),
+      params_(std::move(params)),
+      keep_scale_(DropoutKeepScale(config_.dropout_prob)) {}
 
 template <typename T>
 const Tensor<T>& MhaLayerT<T>::Forward(const Tensor<T>& q, const Tensor<T>& k,
@@ -159,8 +161,6 @@ void MhaLayerT<T>::Backward(const Tensor<T>& d_out,
                             MhaGradientsT<T>& grads) const {
   const auto& d = config_.dims;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d.p));
-  const float keep = 1.0f - config_.dropout_prob;
-  const float keep_scale = keep > 0 ? 1.0f / keep : 0.0f;
   const Shape hbjk("hbjk", {d.h, d.b, d.j, d.k});
   const Shape ibk("ibk", {d.i, d.b, d.k});
   auto& gp = grads.params;
@@ -181,7 +181,7 @@ void MhaLayerT<T>::Backward(const Tensor<T>& d_out,
   // BS: dropout + softmax + scale.
   Tensor<T> d_beta(hbjk);
   ops::ScaledSoftmaxBackwardDX(d_alpha, acts.attn_mask, acts.softmax_saved,
-                               'k', scale, keep_scale, d_beta);
+                               'k', scale, keep_scale_, d_beta);
 
   // QKT backward.
   Tensor<T> d_kk(Shape("phbk", {d.p, d.h, d.b, d.k}));

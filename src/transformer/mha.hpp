@@ -79,6 +79,7 @@ class MhaLayerT {
  private:
   MhaConfig config_;
   MhaParamsT<T> params_;
+  float keep_scale_;  // DropoutKeepScale(config_.dropout_prob)
 };
 
 using MhaParams = MhaParamsT<Half>;

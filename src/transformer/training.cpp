@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "common/threadpool.hpp"
 #include "ops/embedding.hpp"
 
@@ -39,17 +40,24 @@ void MixedPrecisionAdam::Step(const std::string& name, TensorF& master,
   const std::int64_t chunks = (n + kChunk - 1) / kChunk;
   ParallelFor(chunks, 1, [&](std::int64_t ci) {
     const std::int64_t begin = ci * kChunk;
-    const std::int64_t end = std::min(n, begin + kChunk);
-    for (std::int64_t i = begin; i < end; ++i) {
-      const float g = float(grd[i]);
-      float& m = m_state[i];
-      float& v = v_state[i];
-      m = c.beta1 * m + (1.0f - c.beta1) * g;
-      v = c.beta2 * v + (1.0f - c.beta2) * g * g;
+    const std::int64_t len = std::min(n, begin + kChunk) - begin;
+    // The fp16 conversions run in loops of their own, which vectorize;
+    // the update loop cannot (std::sqrt keeps its errno path).
+    float g[kChunk];
+    XFLOW_SIMD
+    for (std::int64_t i = 0; i < len; ++i) g[i] = float(grd[begin + i]);
+    for (std::int64_t i = 0; i < len; ++i) {
+      float& m = m_state[begin + i];
+      float& v = v_state[begin + i];
+      m = c.beta1 * m + (1.0f - c.beta1) * g[i];
+      v = c.beta2 * v + (1.0f - c.beta2) * g[i] * g[i];
       const float m_hat = m / bc1;
       const float v_hat = v / bc2;
-      mst[i] -= c.lr * m_hat / (std::sqrt(v_hat) + c.eps);
-      wrk[i] = Half(mst[i]);
+      mst[begin + i] -= c.lr * m_hat / (std::sqrt(v_hat) + c.eps);
+    }
+    XFLOW_SIMD
+    for (std::int64_t i = 0; i < len; ++i) {
+      wrk[begin + i] = Half(mst[begin + i]);
     }
   });
 }

@@ -2,12 +2,16 @@
 // library's exception types, never with silent corruption.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "common/error.hpp"
 #include "graph/builder.hpp"
 #include "ops/layernorm.hpp"
 #include "ops/softmax.hpp"
 #include "tensor/einsum.hpp"
 #include "transformer/encoder.hpp"
+#include "transformer/mha.hpp"
 
 namespace xflow {
 namespace {
@@ -83,6 +87,36 @@ TEST(Errors, ViewBindRejectsOversizedRank) {
   auto x = TensorF::Random(big, 1);
   TensorF y(big);
   EXPECT_THROW(ops::SoftmaxForward(x, 'e', y), InvalidArgument);
+}
+
+TEST(Errors, LayersRejectDropoutProbabilityOutsideTheUnitInterval) {
+  // At p = -0.5 every element would be kept and scaled by 1/1.5, at NaN
+  // every element dropped: both must fail at construction, naming p.
+  const auto dims = graph::ModelDims::Tiny();
+  for (const float p : {-0.5f, 1.5f, std::nanf("")}) {
+    const std::string value = std::isnan(p) ? "nan" : (p < 0 ? "-0.5" : "1.5");
+    transformer::EncoderConfig enc;
+    enc.dims = dims;
+    enc.dropout_prob = p;
+    try {
+      transformer::EncoderLayer layer(
+          enc, transformer::EncoderParams::Init(dims, 1));
+      ADD_FAILURE() << "encoder accepted dropout probability " << p;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(value), std::string::npos)
+          << e.what();
+    }
+    transformer::MhaConfig mha;
+    mha.dims = dims;
+    mha.dropout_prob = p;
+    try {
+      transformer::MhaLayer layer(mha, transformer::MhaParams::Init(dims, 1));
+      ADD_FAILURE() << "attention accepted dropout probability " << p;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(value), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Errors, MessagesCarrySourceLocation) {

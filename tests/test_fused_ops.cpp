@@ -2,6 +2,9 @@
 // operator pipelines they replace -- fusion changes data movement, not math.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "ops/elementwise.hpp"
 #include "ops/fused.hpp"
 #include "ops/layernorm.hpp"
@@ -197,6 +200,67 @@ TEST(FusedKernels, BdrlnIsLayoutIndependent) {
                                resid2, m2, y2, mean2, rstd2);
   EXPECT_EQ(MaxAbsDiff(y1, y2), 0.0);
   EXPECT_EQ(MaxAbsDiff(resid1, resid2), 0.0);
+}
+
+/// Expects mask_out to hold exactly mask.Keep(i) at every element's
+/// canonical index i (its flat index in the alphabetically ordered,
+/// row-major layout of the same dims).
+void ExpectMaskIsKeepAtCanonicalIndex(const TensorH& mask_out,
+                                      const DropoutMask& mask) {
+  std::string canonical = mask_out.shape().names();
+  std::sort(canonical.begin(), canonical.end());
+  const TensorH m = mask_out.Permuted(canonical);
+  for (std::int64_t i = 0; i < m.size(); ++i) {
+    ASSERT_EQ(float(m.data()[i]),
+              mask.Keep(static_cast<std::uint64_t>(i)) ? 1.0f : 0.0f)
+        << mask_out.shape().names() << " canonical index " << i;
+  }
+}
+
+// The five mask-drawing kernels take their keep flags from block-batched
+// Philox runs; every flag must still be the per-index reference at the
+// element's canonical index. The shapes give rows longer than the
+// kernels' 512-element mask chunk, row lengths and bases that are not
+// multiples of 4, unit canonical strides and strided ones (BDRLN over i,
+// BRD over j), and staged (strided-layout) rows.
+TEST(MaskKernels, DrawKeepAtTheCanonicalIndex) {
+  for (const float p : {0.0f, 0.3f, 1.0f}) {
+    const DropoutMask mask(0xBEEF, p);
+    for (const char* layout : {"ibj", "bji", "jib"}) {
+      const auto x = TensorH::Random(Shape("ibj", {5, 2, 601}), 1)
+                         .Permuted(layout);
+      TensorH y(x.shape()), m(x.shape());
+      DropoutForward(x, mask, y, m);
+      ExpectMaskIsKeepAtCanonicalIndex(m, mask);
+    }
+    for (const char* layout : {"hbjk", "hbkj"}) {
+      const auto beta =
+          TensorH::Random(Shape("hbjk", {2, 1, 3, 701}), 2).Permuted(layout);
+      TensorH alpha(beta.shape()), m(beta.shape()), saved(beta.shape());
+      ScaledSoftmaxForward(beta, 'k', 0.5f, mask, alpha, m, saved);
+      ExpectMaskIsKeepAtCanonicalIndex(m, mask);
+      CausalScaledSoftmaxForward(beta, 'k', 'j', 0.5f, mask, alpha, m, saved);
+      ExpectMaskIsKeepAtCanonicalIndex(m, mask);
+    }
+    const Shape ubj("ubj", {5, 2, 601});
+    const auto x = TensorH::Random(ubj, 3);
+    const auto bias = TensorH::Random(Shape("u", {5}), 4);
+    TensorH relu(ubj), y(ubj), m(ubj);
+    BiasReluDropout(x, bias, mask, relu, y, m);
+    ExpectMaskIsKeepAtCanonicalIndex(m, mask);
+
+    const Shape ibj("ibj", {603, 2, 3});
+    const auto xi = TensorH::Random(ibj, 5);
+    const auto bi = TensorH::Random(Shape("i", {603}), 6);
+    const auto resid_in = TensorH::Random(ibj, 7);
+    const auto gamma = TensorH::Random(Shape("i", {603}), 8);
+    const auto beta = TensorH::Random(Shape("i", {603}), 9);
+    TensorH resid(ibj), mi(ibj), yi(ibj);
+    TensorF mean(Shape("bj", {2, 3})), rstd(Shape("bj", {2, 3}));
+    BiasDropoutResidualLayerNorm(xi, bi, resid_in, mask, gamma, beta, 'i',
+                                 kEps, resid, mi, yi, mean, rstd);
+    ExpectMaskIsKeepAtCanonicalIndex(mi, mask);
+  }
 }
 
 }  // namespace

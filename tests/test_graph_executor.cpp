@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "graph/builder.hpp"
@@ -67,6 +69,23 @@ TEST(GraphExecutor, RequiresExternalBindings) {
   graph::GraphExecutorT<Half> exec(f.arena.graph(), &f.arena.plan(),
                                    &f.arena.workspace(), f.opts);
   EXPECT_THROW(exec.Forward(), InvalidArgument);
+}
+
+TEST(GraphExecutor, RejectsDropoutProbabilityOutsideTheUnitInterval) {
+  LayerFixture f;
+  for (const float p : {-0.5f, 1.5f, std::nanf("")}) {
+    f.opts.dropout_prob = p;
+    try {
+      graph::GraphExecutorT<Half> exec(f.arena.graph(), &f.arena.plan(),
+                                       &f.arena.workspace(), f.opts);
+      ADD_FAILURE() << "dropout probability " << p << " was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string value =
+          std::isnan(p) ? "nan" : (p < 0 ? "-0.5" : "1.5");
+      EXPECT_NE(std::string(e.what()).find(value), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

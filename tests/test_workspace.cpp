@@ -110,22 +110,26 @@ TEST(TensorAlloc, CopiesCountViewsDoNot) {
 TEST(TensorInit, ParallelFillMatchesSerialReference) {
   // Random/Full/zero-fill run chunked on the pool; values are a pure
   // function of the element index, so the thread count must not matter.
-  constexpr std::int64_t kN = 1 << 18;  // several chunks
-  ThreadPool::SetGlobalThreads(8);
-  auto par = TensorF::Random(Shape("x", {kN}), 42);
-  auto full_par = TensorH::Full(Shape("x", {kN}), 3.5f);
-  ThreadPool::SetGlobalThreads(1);
-  auto ser = TensorF::Random(Shape("x", {kN}), 42);
-  ThreadPool::SetGlobalThreads(ThreadPool::ResolveGlobalThreads());
-  EXPECT_EQ(MaxAbsDiff(par, ser), 0.0);
-  // And against the generator directly.
-  Philox4x32 gen(42);
-  for (std::int64_t i : {std::int64_t{0}, kN / 2, kN - 1}) {
-    EXPECT_EQ(par.data()[i],
-              gen.UniformAt(static_cast<std::uint64_t>(i)) * 2.0f - 1.0f);
-  }
-  for (std::int64_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(float(full_par.data()[i]), 3.5f);
+  // Sizes: several 2^16-element chunks, and sizes that are not a
+  // multiple of a Philox block (4 words) or of a chunk.
+  constexpr std::int64_t kChunk = std::int64_t{1} << 16;
+  for (const std::int64_t n : {4 * kChunk, 2 * kChunk + 7, kChunk + 3,
+                               std::int64_t{4099}, std::int64_t{3}}) {
+    ThreadPool::SetGlobalThreads(8);
+    auto par = TensorF::Random(Shape("x", {n}), 42);
+    auto full_par = TensorH::Full(Shape("x", {n}), 3.5f);
+    ThreadPool::SetGlobalThreads(1);
+    auto ser = TensorF::Random(Shape("x", {n}), 42);
+    ThreadPool::SetGlobalThreads(ThreadPool::ResolveGlobalThreads());
+    EXPECT_EQ(MaxAbsDiff(par, ser), 0.0);
+    // And against the per-index generator, at every index.
+    Philox4x32 gen(42);
+    for (std::int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(par.data()[i],
+                gen.UniformAt(static_cast<std::uint64_t>(i)) * 2.0f - 1.0f)
+          << "n " << n << " index " << i;
+      ASSERT_EQ(float(full_par.data()[i]), 3.5f);
+    }
   }
 }
 
