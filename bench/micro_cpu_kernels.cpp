@@ -270,8 +270,8 @@ void BM_MemoryPlanner(benchmark::State& state) {
   std::size_t peak = 0, naive = 0;
   for (auto _ : state) {
     const auto plan = xflow::graph::PlanMemory(g, opts);
-    peak = plan.peak_bytes();
-    naive = plan.naive_bytes();
+    peak = plan.PeakBytes();
+    naive = plan.NaiveSumBytes();
     benchmark::DoNotOptimize(peak);
   }
   state.counters["peak_mb"] =

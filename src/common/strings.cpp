@@ -39,9 +39,4 @@ std::string HumanCount(double value) {
   return StrFormat("%.0f", value);
 }
 
-std::string HumanTimeUs(double us) {
-  if (us >= 1000.0) return StrFormat("%.2f ms", us / 1000.0);
-  return StrFormat("%.0f us", us);
-}
-
 }  // namespace xflow

@@ -18,7 +18,4 @@ std::string Join(const std::vector<std::string>& parts,
 /// Human-readable quantity with SI-ish suffix, e.g. 4.19e6 -> "4.2M".
 std::string HumanCount(double value);
 
-/// Format microseconds as "123 us" or "1.23 ms" as appropriate.
-std::string HumanTimeUs(double us);
-
 }  // namespace xflow

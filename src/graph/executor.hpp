@@ -15,9 +15,10 @@
 //   * weights, weight gradients and graph inputs (x, d_y) are *external*:
 //     the caller binds them by reference (BindInput / BindOutput) and the
 //     executor never copies or stages them;
-//   * plan groups (the algebraically stacked Q/K/V blocks) resolve to one
-//     contiguous view spanning their members, so stacked contractions
-//     read/write a single tensor with zero-copy splits.
+//   * plan groups (MemoryPlan::groups(), the algebraically stacked Q/K/V
+//     blocks) resolve to one contiguous view spanning their members, so
+//     stacked contractions read/write a single tensor with zero-copy
+//     splits.
 //
 // With `use_fused_kernels` the schedule comes from fusion::FuseMaximally:
 // recognized multi-op kernels (DRLN/BDRLN, BRD, BLNRD, BDRB, EBSB)
@@ -82,15 +83,11 @@ struct ExecutorOptions {
   /// Seeds for the dropout-bearing ops (kScaledSoftmax, kDropout), in
   /// graph appearance order -- the layer's per-site Philox streams.
   std::vector<std::uint64_t> dropout_seeds;
-  /// Contiguous stacked blocks of the plan (PlanOptions::groups): a
-  /// contraction whose input/output list matches a group's members
-  /// reads/writes the group's single spanning view.
-  std::vector<PlanGroup> stacked;
 };
 
 /// Interprets a DataflowGraph over a planned Workspace slab. `plan` and
 /// `workspace` (typically a StackArenaT's) must outlive the executor and
-/// the workspace must already be reserved to plan->peak_bytes().
+/// the workspace must already be reserved to plan->PeakBytes().
 template <typename T>
 class GraphExecutorT {
  public:

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "graph/op.hpp"
-#include "tensor/einsum_class.hpp"
 #include "tensor/shape.hpp"
 
 namespace xflow::graph {
@@ -45,11 +44,6 @@ struct OpNode {
   /// output nothing consumes dies at its producer instead of living to the
   /// end of the graph.
   std::string recompute_of;
-  /// Contractions only: the kernel class the lowering pass derived from
-  /// this op's spec and operand extents (graph/lowering.hpp). Stays
-  /// kUnclassified until LowerContractions runs; the verifier's
-  /// graph/lowering-consistent rule re-derives and cross-checks it.
-  EinsumClass lowered = EinsumClass::kUnclassified;
 
   [[nodiscard]] OpClass cls() const { return ClassOf(kind); }
 };
@@ -70,10 +64,6 @@ class DataflowGraph {
   [[nodiscard]] bool HasTensor(const std::string& name) const;
   [[nodiscard]] const TensorNode& tensor(const std::string& name) const;
   [[nodiscard]] const std::vector<OpNode>& ops() const { return ops_; }
-  /// Mutable op access for annotation passes (e.g. LowerContractions
-  /// recording each contraction's EinsumClass); the graph's structure --
-  /// names, edges, producers -- must not change through this.
-  [[nodiscard]] std::vector<OpNode>& mutable_ops() { return ops_; }
   [[nodiscard]] const std::map<std::string, TensorNode>& tensors() const {
     return tensors_;
   }

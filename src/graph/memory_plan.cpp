@@ -202,6 +202,7 @@ MemoryPlan PlanMemory(const DataflowGraph& graph,
     return nullptr;
   };
 
+  MemoryPlan plan;
   std::vector<Unit> units;
   for (const auto& g : options.groups) {
     require(!g.members.empty(),
@@ -215,6 +216,7 @@ MemoryPlan PlanMemory(const DataflowGraph& graph,
     require(present == g.members.size(),
             StrFormat("plan group '%s' is only partially present",
                       g.name.c_str()));
+    if (g.members.size() > 1) plan.groups_.push_back(g);
     Unit u;
     u.name = g.name;
     u.first_use = last_op;
@@ -351,7 +353,6 @@ MemoryPlan PlanMemory(const DataflowGraph& graph,
                                     : !ordered_before(b, a);
   };
 
-  MemoryPlan plan;
   std::vector<std::pair<std::size_t, std::size_t>> occupied;  // offset, end
   std::vector<Unit> placed;
   for (Unit& u : units) {

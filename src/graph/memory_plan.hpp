@@ -94,15 +94,20 @@ class MemoryPlan {
     return placements_;
   }
 
+  /// The stacked groups placed as one spanning block (PlanOptions::groups
+  /// whose members are all in the graph, more than one member each), in
+  /// option order. Each has a placement under its name; a contraction
+  /// whose operand list matches a group's members reads or writes that
+  /// one view.
+  [[nodiscard]] const std::vector<PlanGroup>& groups() const {
+    return groups_;
+  }
+
   /// Slab bytes required to run the whole graph with this plan.
-  [[nodiscard]] std::size_t peak_bytes() const { return peak_bytes_; }
+  [[nodiscard]] std::size_t PeakBytes() const { return peak_bytes_; }
   /// What separate allocation of every planned container would cost
   /// (aligned, groups counted member-by-member) -- the owning executor's
   /// footprint and the baseline of the reported reduction.
-  [[nodiscard]] std::size_t naive_bytes() const { return naive_bytes_; }
-  /// Report-style aliases of peak_bytes()/naive_bytes(), the pair every
-  /// memory comparison quotes (e.g. whole-stack plan vs per-layer sum).
-  [[nodiscard]] std::size_t PeakBytes() const { return peak_bytes_; }
   [[nodiscard]] std::size_t NaiveSumBytes() const { return naive_bytes_; }
   /// 1 - peak/naive, in [0, 1).
   [[nodiscard]] double Reduction() const;
@@ -120,6 +125,7 @@ class MemoryPlan {
   friend MemoryPlan PlanMemory(const DataflowGraph&, const PlanOptions&);
 
   std::map<std::string, TensorPlacement> placements_;
+  std::vector<PlanGroup> groups_;
   std::size_t peak_bytes_ = 0;
   std::size_t naive_bytes_ = 0;
 };

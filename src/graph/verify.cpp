@@ -12,7 +12,6 @@
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "fusion/fuser.hpp"
-#include "graph/lowering.hpp"
 #include "tensor/einsum.hpp"
 
 namespace xflow::graph {
@@ -28,11 +27,84 @@ void Error(IssueList& issues, std::string rule, std::string op,
                                std::move(message)});
 }
 
-// ShapeStr, DimMap, StackShapes and BindExtents moved to
-// graph/lowering.{hpp,cpp} -- the lowering pass derives contraction
-// extents through the exact helpers the shape/contraction rule binds
-// with, which is what makes graph/lowering-consistent a real
-// cross-check rather than a reimplementation.
+/// Spec letter -> bound extent, accumulated across operands.
+using DimMap = std::map<char, std::int64_t>;
+
+/// "phbj[8,3,2,10]" -- the shape form every diagnostic here quotes.
+std::string ShapeStr(const Shape& s) {
+  std::string out = s.names() + "[";
+  for (int d = 0; d < s.rank(); ++d) {
+    if (d > 0) out += ",";
+    out += std::to_string(s.dims()[static_cast<std::size_t>(d)].extent);
+  }
+  return out + "]";
+}
+
+/// Stacked operand resolution (the algebraic Q/K/V stacks, Sec. IV-D):
+/// members must share rank and trailing extents; the effective operand is
+/// member[0] with the leading extent summed. Member dim names beyond the
+/// first are positional relabels (the paper's j->k / p->w renames).
+std::optional<Shape> StackShapes(const std::vector<const Shape*>& members,
+                                 std::string* why) {
+  const Shape& first = *members.front();
+  if (first.rank() == 0) {
+    *why = "stacked member has rank 0";
+    return std::nullopt;
+  }
+  std::int64_t lead = 0;
+  for (const Shape* m : members) {
+    if (m->rank() != first.rank()) {
+      *why = StrFormat("stacked members %s and %s differ in rank",
+                       ShapeStr(first).c_str(), ShapeStr(*m).c_str());
+      return std::nullopt;
+    }
+    for (int d = 1; d < first.rank(); ++d) {
+      const auto dd = static_cast<std::size_t>(d);
+      if (m->dims()[dd].extent != first.dims()[dd].extent) {
+        *why = StrFormat("stacked members %s and %s differ beyond the "
+                         "stack dim",
+                         ShapeStr(first).c_str(), ShapeStr(*m).c_str());
+        return std::nullopt;
+      }
+    }
+    lead += m->dims().front().extent;
+  }
+  std::vector<DimExt> dims = first.dims();
+  dims.front().extent = lead;
+  return Shape(std::move(dims));
+}
+
+/// Binds a tensor's extents to the spec letters `letters`, accumulating
+/// into `ext` (shared across a, b and out so every letter's extent must
+/// cohere). Binding is by name when the name sets agree -- memory order
+/// is free -- and positional otherwise (a pure relabel, e.g. the
+/// builders' whbj -> whbk value path).
+bool BindExtents(const Shape& shape, const std::string& letters, DimMap& ext,
+                 std::string* why) {
+  if (static_cast<std::size_t>(shape.rank()) != letters.size()) {
+    *why = StrFormat("%s does not match spec dims '%s'",
+                     ShapeStr(shape).c_str(), letters.c_str());
+    return false;
+  }
+  std::string sorted_names = shape.names();
+  std::string sorted_letters = letters;
+  std::sort(sorted_names.begin(), sorted_names.end());
+  std::sort(sorted_letters.begin(), sorted_letters.end());
+  const bool by_name = sorted_names == sorted_letters;
+  for (std::size_t d = 0; d < letters.size(); ++d) {
+    const char letter = letters[d];
+    const std::int64_t e =
+        by_name ? shape.extent(letter) : shape.dims()[d].extent;
+    const auto [it, inserted] = ext.emplace(letter, e);
+    if (!inserted && it->second != e) {
+      *why = StrFormat("dim '%c' would need extent %lld and %lld at once",
+                       letter, static_cast<long long>(it->second),
+                       static_cast<long long>(e));
+      return false;
+    }
+  }
+  return true;
+}
 
 DimMap ToDimMap(const Shape& s) {
   DimMap m;
@@ -544,29 +616,6 @@ void CheckGraph(const DataflowGraph& g, IssueList& issues) {
       CheckOpShapes(g, ops[i], specs, static_cast<int>(i), issues);
     }
   }
-  // Lowered-class cross-check: a recorded class must be re-derivable
-  // from the spec + operand extents through the lowering pass's own
-  // entry point. Unlowered ops (kUnclassified) are legal -- the executor
-  // classifies on the fly -- and ops whose class cannot be derived at
-  // all already failed graph/arity or shape/contraction above.
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const OpNode& op = ops[i];
-    if (op.kind != OpKind::kContraction ||
-        op.lowered == EinsumClass::kUnclassified || !shapes_ok[i]) {
-      continue;
-    }
-    const EinsumClass derived = DeriveLoweredClass(g, op);
-    if (derived != EinsumClass::kUnclassified && derived != op.lowered) {
-      Error(issues, "graph/lowering-consistent", op.name,
-            op.outputs.empty() ? "" : op.outputs.front(),
-            StrFormat("recorded lowered class '%.*s' but spec '%s' and "
-                      "operand extents re-derive '%.*s'",
-                      static_cast<int>(xflow::ToString(op.lowered).size()),
-                      xflow::ToString(op.lowered).data(), op.einsum.c_str(),
-                      static_cast<int>(xflow::ToString(derived).size()),
-                      xflow::ToString(derived).data()));
-    }
-  }
 }
 
 bool HasGraphErrors(const IssueList& issues) {
@@ -839,11 +888,11 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
     }
   }
   for (const auto& [name, p] : plan.placements()) {
-    if (p.offset + p.bytes > plan.peak_bytes()) {
+    if (p.offset + p.bytes > plan.PeakBytes()) {
       Error(issues, "plan/peak", "", name,
             StrFormat("placement ends at %zu, past the plan's peak of %zu "
                       "bytes",
-                      p.offset + p.bytes, plan.peak_bytes()));
+                      p.offset + p.bytes, plan.PeakBytes()));
     }
   }
 

@@ -14,9 +14,6 @@
 //   graph/single-producer   every container has at most one writer (SSA)
 //   graph/dangling          ops reference only declared containers
 //   graph/arity             operand counts/roles are valid for the OpKind
-//   graph/lowering-consistent  each contraction's recorded EinsumClass
-//                           (graph/lowering.hpp) matches the class its
-//                           spec + operand extents re-derive
 //   shape/contraction       einsum output/operand extents re-derived from
 //                           the spec (stacked AIB/BAIB forms included)
 //   shape/elementwise       element-wise ops preserve their space; bias

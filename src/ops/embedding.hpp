@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -97,12 +98,27 @@ void EmbeddingBackwardKernel(const Tensor<T>& d_x,
 }
 
 /// Mean-squared error over all elements: fills d_y = 2 (y - target) / N
-/// and returns the scalar loss (accumulated in double).
+/// and returns the scalar loss (accumulated in double). Elements pair by
+/// memory position, so `target` and `d_y` must have `y`'s shape -- dim
+/// order included; throws InvalidArgument naming both shapes otherwise.
 template <typename T>
 double MseLossKernel(const Tensor<T>& y, const Tensor<T>& target,
                      Tensor<T>& d_y) {
-  require(y.size() == target.size() && y.size() == d_y.size(),
-          "loss tensors must match in size");
+  auto str = [](const Shape& s) {
+    std::string out = s.names() + "[";
+    for (const auto& d : s.dims()) {
+      if (out.back() != '[') out += ',';
+      out += std::to_string(d.extent);
+    }
+    return out + "]";
+  };
+  auto require_y_shape = [&](const char* what, const Shape& s) {
+    if (s == y.shape()) return;
+    require(false, StrFormat("MSE loss %s %s does not have y's shape %s",
+                             what, str(s).c_str(), str(y.shape()).c_str()));
+  };
+  require_y_shape("target", target.shape());
+  require_y_shape("d_y", d_y.shape());
   const double n = static_cast<double>(y.size());
   double loss = 0;
   for (std::int64_t i = 0; i < y.size(); ++i) {

@@ -9,9 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 
-#include "common/error.hpp"
 #include "tensor/tensor.hpp"
 
 namespace xflow::ops {
@@ -36,18 +34,6 @@ struct View {
     return v;
   }
 };
-
-/// The subset `wanted` of dimension names, ordered as they appear in
-/// `shape`'s memory order (outermost first). Used to pick loop order.
-inline std::string OrderedSubset(const Shape& shape, std::string_view wanted) {
-  std::string out;
-  for (const auto& d : shape.dims()) {
-    if (wanted.find(d.name) != std::string_view::npos) out += d.name;
-  }
-  require(out.size() == wanted.size(),
-          "output tensor must contain all loop dimensions");
-  return out;
-}
 
 /// Strides of a *canonical* (alphabetically ordered, row-major) layout of
 /// `shape`. Dropout masks are indexed canonically so that the same element

@@ -34,7 +34,7 @@ struct EinsumSpec {
 };
 
 /// Flattened GEMM dimensions of a contraction (see einsum_class.hpp for
-/// the GemmExtents definition shared with the graph layer). Throws
+/// the GemmExtents definition shared with the device model). Throws
 /// InvalidArgument naming the spec and both operand shapes when a spec
 /// dim is missing from the operand that must carry it.
 GemmExtents ContractionExtents(const EinsumSpec& spec, const Shape& a_shape,
@@ -73,13 +73,14 @@ void EinsumInto(const EinsumSpec& spec, const Tensor<T>& a, const Tensor<T>& b,
                 Tensor<T>& out, float alpha = 1.0f, float beta = 0.0f);
 
 /// EinsumInto with the lowering class chosen by the caller (the graph
-/// executor dispatches through the class its lowering pass recorded).
-/// `cls` must be the site's derived class, except that kGemm /
-/// kBatchedGemm always run the generic macro-tile pipeline -- passing
-/// kGemm forces the generic path for any shape, which is how the bitwise
-/// specialized-vs-generic tests and benches get their baseline --
-/// and kUnclassified classifies on the fly. `exec`, when non-null,
-/// overrides the parallelization heuristics (see EinsumExecConfig).
+/// executor passes the class ClassifyEinsum derives for the site, the
+/// same lookup that keys its autotune bucket). `cls` must be the site's
+/// derived class, except that kGemm / kBatchedGemm always run the generic
+/// macro-tile pipeline -- passing kGemm forces the generic path for any
+/// shape, which is how the bitwise specialized-vs-generic tests and
+/// benches get their baseline -- and kUnclassified classifies on the fly.
+/// `exec`, when non-null, overrides the parallelization heuristics (see
+/// EinsumExecConfig).
 template <typename T>
 void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
                    const Tensor<T>& b, Tensor<T>& out, float alpha = 1.0f,

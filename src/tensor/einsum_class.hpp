@@ -6,11 +6,11 @@
 // panel to pack, an outer product performs one multiply per output
 // element, a pure reduction is a dot product, and a contraction with
 // every GEMM dim degenerate is just a scaled copy. ClassifyContraction
-// derives the class from the extents alone, so the graph lowering pass,
-// the einsum engine and the verifier's graph/lowering-consistent rule all
-// agree by construction. This header is dependency-light on purpose: the
-// graph layer records an EinsumClass on every contraction op without
-// pulling in the tensor engine.
+// derives the class from the extents alone; ClassifyEinsum
+// (tensor/einsum.hpp) applies it once per (spec, operand shapes) site and
+// caches the result, and every execution decision -- the kernel
+// EinsumLowered runs, the autotuner's bucket key -- takes the class from
+// that cache.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,7 @@ struct GemmExtents {
 /// GEMM; a batched gemv is still kGemv (the batch loop wraps any class,
 /// and kBatchedGemm is the batch>1 case of the full-rank pipeline).
 enum class EinsumClass {
-  kUnclassified,  // not yet lowered (graphs before the lowering pass)
+  kUnclassified,  // no class given: EinsumLowered classifies on the fly
   kGemm,          // m, n, k > 1, single batch: the generic pipeline
   kBatchedGemm,   // m, n, k > 1 across batch > 1 strided GEMMs
   kGemv,          // exactly one of m/n is 1 with k > 1: matrix x vector

@@ -2,7 +2,7 @@
 // non-owning Tensor views at fixed (planner-chosen) offsets.
 //
 // Two usage styles:
-//   * plan-driven (the transformer layers): Reserve(plan.peak_bytes())
+//   * plan-driven (the transformer layers): Reserve(plan.PeakBytes())
 //     once, then vend ViewAt(offset, shape) views at the offsets a
 //     liveness plan assigned -- the slab never moves, so views stay valid
 //     and steady-state steps perform zero allocations;

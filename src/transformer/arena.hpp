@@ -48,14 +48,14 @@ class StackArenaT {
         plan_(graph::PlanMemory(graph_, options)),
         recompute_layers_(std::move(recompute_layers)) {
     std::sort(recompute_layers_.begin(), recompute_layers_.end());
-    workspace_.Reserve(plan_.peak_bytes());
+    workspace_.Reserve(plan_.PeakBytes());
   }
   /// Adopts a checkpoint-aware plan (graph/checkpoint.hpp).
   explicit StackArenaT(graph::CheckpointedStackPlan plan)
       : graph_(std::move(plan.graph)),
         plan_(std::move(plan.plan)),
         recompute_layers_(std::move(plan.recompute_layers)) {
-    workspace_.Reserve(plan_.peak_bytes());
+    workspace_.Reserve(plan_.PeakBytes());
   }
 
   /// A view of container `name` at its planned offset. The caller

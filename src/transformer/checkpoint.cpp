@@ -74,15 +74,48 @@ void WriteTensor(std::ostream& os, const std::string& name,
   }
 }
 
+/// Bytes between the read position and the end of the stream.
+std::uint64_t BytesLeft(std::istream& is) {
+  const std::streamoff pos = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff end = is.tellg();
+  is.seekg(pos, std::ios::beg);
+  require(bool(is) && pos >= 0 && end >= pos, "checkpoint is not seekable");
+  return static_cast<std::uint64_t>(end - pos);
+}
+
 std::pair<std::string, TensorH> ReadTensor(std::istream& is) {
   const std::string name = ReadString(is);
   const auto rank = ReadU32(is);
   require(rank <= 8, "implausible tensor rank in checkpoint");
-  std::vector<DimExt> dims;
+  std::vector<std::pair<char, std::uint64_t>> extents;
   for (std::uint32_t d = 0; d < rank; ++d) {
     const char c = static_cast<char>(is.get());
-    const auto extent = static_cast<std::int64_t>(ReadU64(is));
-    dims.push_back({c, extent});
+    extents.emplace_back(c, ReadU64(is));
+  }
+  // The stored extents size the allocation, so they must fit the payload
+  // the file still holds before anything is allocated: a corrupt extent
+  // fails here, by name, instead of as bad_alloc or a huge zero fill.
+  // Dividing instead of multiplying keeps the product from overflowing.
+  const std::uint64_t left = BytesLeft(is);
+  const std::uint64_t max_elems = left / sizeof(std::uint16_t);
+  std::uint64_t elems = 1;
+  bool fits = elems <= max_elems;
+  std::string listed;
+  for (const auto& [c, e] : extents) {
+    fits = fits && e > 0 && e <= max_elems / elems;
+    if (fits) elems *= e;
+    listed += StrFormat("%s%c:%llu", listed.empty() ? "" : ",", c,
+                        static_cast<unsigned long long>(e));
+  }
+  require(fits, StrFormat("checkpoint tensor '%s' has extents [%s], more "
+                          "than the %llu payload bytes left can hold "
+                          "(corrupt or truncated file)",
+                          name.c_str(), listed.c_str(),
+                          static_cast<unsigned long long>(left)));
+  std::vector<DimExt> dims;
+  for (const auto& [c, e] : extents) {
+    dims.push_back({c, static_cast<std::int64_t>(e)});
   }
   TensorH t{Shape(std::move(dims))};
   for (std::int64_t e = 0; e < t.size(); ++e) {

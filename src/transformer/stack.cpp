@@ -83,7 +83,6 @@ graph::GraphExecutorT<T>& EncoderStackT<T>::Executor(
         opts.dropout_seeds.push_back(s);
       }
     }
-    opts.stacked = StackPlanOptions<T>(arena.graph()).groups;
     stack_executor_ = std::make_unique<graph::GraphExecutorT<T>>(
         arena.graph(), &arena.plan(), &arena.workspace(), std::move(opts));
     stack_arena_ = &arena;

@@ -127,6 +127,37 @@ TEST(Embedding, ExecutorBackwardRejectsIdsReboundAfterForward) {
   EXPECT_NE(what.find("[while executing"), std::string::npos) << what;
 }
 
+TEST(Embedding, ExecutorLossHeadRejectsAPermutedTarget) {
+  // Externals bind by element count, so a target in another dim order
+  // reaches the loss kernel, which pairs elements by memory position: it
+  // must refuse the target by shape, and the error names the loss op.
+  EncoderConfig cfg;
+  cfg.dims = graph::ModelDims::Tiny();
+  const auto& d = cfg.dims;
+  const std::int64_t vocab = 17;
+  EncoderStack stack(cfg, 1, 31);
+  EmbeddingT<Half> emb(vocab, d, 41);
+  const TokenIds tokens(static_cast<std::size_t>(d.b * d.j), 3);
+  const auto target = TensorH::Random(Shape("bji", {d.b, d.j, d.i}), 8);
+
+  auto arena = MakeStackArena<Half>(
+      cfg, {.num_layers = 1, .vocab = vocab, .include_loss = true});
+  auto& ex = stack.Executor(arena);
+  ex.BindInput("token_table", emb.token_table());
+  ex.BindInput("pos_table", emb.pos_table());
+  ex.BindTokens(tokens);
+  ex.BindInput("target", target);
+  const std::string what = InvalidArgumentMessage([&] { ex.Forward(); });
+  EXPECT_NE(what.find(StrFormat("target bji[%lld,%lld,%lld]",
+                                static_cast<long long>(d.b),
+                                static_cast<long long>(d.j),
+                                static_cast<long long>(d.i))),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("[while executing op 'loss'"), std::string::npos)
+      << what;
+}
+
 TEST(Embedding, BackwardAccumulatesRepeatedTokens) {
   const auto d = EmbDims();
   EmbeddingT<float> emb(10, d, 4);

@@ -19,7 +19,7 @@ namespace {
 using graph::ModelDims;
 
 /// A single-layer encoder graph (forward + backward) planned into one
-/// StackArenaT, plus executor options matching its plan.
+/// StackArenaT, plus the executor options the tests share.
 struct LayerFixture {
   static StackArenaT<Half> Arena() {
     auto g = graph::BuildEncoder(ModelDims::Tiny(),
@@ -32,7 +32,6 @@ struct LayerFixture {
   LayerFixture() {
     opts.dropout_prob = 0.1f;
     opts.dropout_seeds = {1, 2, 3, 4};
-    opts.stacked = StackPlanOptions<Half>(arena.graph()).groups;
   }
 
   StackArenaT<Half> arena = Arena();

@@ -18,7 +18,6 @@
 #include "common/error.hpp"
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
-#include "graph/lowering.hpp"
 #include "graph/memory_plan.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/workspace.hpp"
@@ -46,8 +45,8 @@ MemoryPlan Corrupted(
   auto placements = plan.placements();
   mutate(placements);
   return MemoryPlan::FromPlacements(std::move(placements),
-                                    plan.peak_bytes() + peak_delta,
-                                    plan.naive_bytes());
+                                    plan.PeakBytes() + peak_delta,
+                                    plan.NaiveSumBytes());
 }
 
 // ------------------------------------------------------------ graph rules
@@ -149,48 +148,6 @@ TEST(VerifyGraph, ContractionShapeMismatch) {
   ExpectOnlyRule(report, "shape/contraction");
   ASSERT_EQ(report.error_count(), 1);
   EXPECT_EQ(report.issues[0].op, "mm");
-}
-
-TEST(VerifyGraph, LoweringClassMismatch) {
-  DataflowGraph g;
-  g.AddTensor("x", Shape("ik", {2, 3}));
-  g.AddTensor("w", Shape("kj", {3, 4}), /*is_weight=*/true);
-  g.AddTensor("y", Shape("ij", {2, 4}));
-  // The shapes re-derive kGemm; a stale annotation claims kGemv.
-  g.AddOp({.name = "mm",
-           .kind = OpKind::kContraction,
-           .inputs = {"x", "w"},
-           .outputs = {"y"},
-           .einsum = "ik,kj->ij",
-           .lowered = EinsumClass::kGemv});
-  const auto report = Verify(g);
-  ExpectOnlyRule(report, "graph/lowering-consistent");
-  ASSERT_EQ(report.error_count(), 1);
-  EXPECT_EQ(report.issues[0].op, "mm");
-  // The message names both classes so the stale pass is identifiable.
-  EXPECT_NE(report.issues[0].message.find("gemv"), std::string::npos);
-  EXPECT_NE(report.issues[0].message.find("gemm"), std::string::npos);
-}
-
-TEST(VerifyGraph, LoweredBuilderGraphsVerifyClean) {
-  for (const bool training : {false, true}) {
-    // Inference graphs exercise the unfused builder; the backward graph
-    // requires the QKV-fused one.
-    auto g = BuildEncoder(
-        ModelDims::Tiny(),
-        training ? AlgebraicFusion::kQKV : AlgebraicFusion::kNone, training);
-    EXPECT_GT(LowerContractions(g), 0u);
-    for (const auto& op : g.ops()) {
-      if (op.kind != OpKind::kContraction) continue;
-      EXPECT_NE(op.lowered, EinsumClass::kUnclassified) << op.name;
-    }
-    const auto report = Verify(g);
-    EXPECT_TRUE(report.ok()) << report.Summary();
-    // Idempotent: re-running the pass finds nothing left to classify and
-    // the annotated graph still cross-checks clean.
-    EXPECT_EQ(LowerContractions(g), 0u);
-    EXPECT_TRUE(Verify(g).ok());
-  }
 }
 
 TEST(VerifyGraph, ElementwiseShapeMismatch) {
@@ -421,7 +378,7 @@ TEST(VerifyPlan, PlacementPastPeak) {
   const auto f = MakeChain();
   auto placements = f.plan.placements();
   const auto plan = MemoryPlan::FromPlacements(
-      std::move(placements), f.plan.peak_bytes() - 8, f.plan.naive_bytes());
+      std::move(placements), f.plan.PeakBytes() - 8, f.plan.NaiveSumBytes());
   ExpectOnlyRule(Verify(f.graph, plan, f.options), "plan/peak");
 }
 
@@ -583,7 +540,7 @@ TEST(VerifyFuzz, EveryPlanPerturbationIsCaught) {
         break;
       }
       case 1:  // move past the slab
-        p.offset += plan.peak_bytes();
+        p.offset += plan.PeakBytes();
         what = "move past peak";
         break;
       case 2:  // shrink the span
@@ -607,7 +564,7 @@ TEST(VerifyFuzz, EveryPlanPerturbationIsCaught) {
       }
     }
     const auto corrupted = MemoryPlan::FromPlacements(
-        std::move(placements), plan.peak_bytes(), plan.naive_bytes());
+        std::move(placements), plan.PeakBytes(), plan.NaiveSumBytes());
     EXPECT_FALSE(Verify(g, corrupted, options).ok())
         << "iteration " << iter << ": " << what << " on '" << victim
         << "' was not caught";
@@ -633,7 +590,7 @@ struct ReluExecFixture {
     PlanOptions options;
     options.exclude = {"x", "y"};
     plan = PlanMemory(graph, options);
-    workspace.Reserve(plan.peak_bytes());
+    workspace.Reserve(plan.PeakBytes());
   }
   GraphExecutorT<float> MakeExecutor() {
     return {graph, &plan, &workspace, ExecutorOptions{}};
@@ -731,7 +688,7 @@ TEST(ExecutorBindings, DispatchFailureNamesTheOp) {
   options.exclude = {"a", "out"};
   const auto plan = PlanMemory(g, options);
   Workspace ws;
-  ws.Reserve(plan.peak_bytes());
+  ws.Reserve(plan.PeakBytes());
   GraphExecutorT<float> exec(g, &plan, &ws, ExecutorOptions{});
   const auto a = TensorF::Random(Shape("ij", {2, 3}), 5);
   const auto w_bad = TensorF::Random(Shape("pq", {3, 4}), 7);

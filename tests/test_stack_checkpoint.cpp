@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
@@ -80,7 +86,12 @@ TEST(EncoderStack, NamedParamsArePrefixedAndComplete) {
 class CheckpointTest : public ::testing::Test {
  protected:
   void TearDown() override { std::filesystem::remove(path_); }
-  std::string path_ = "/tmp/xflow_ckpt_test.bin";
+  // One file per process: ctest runs this suite at three thread counts
+  // concurrently.
+  std::string path_ = (std::filesystem::temp_directory_path() /
+                       ("xflow_ckpt_test_" + std::to_string(::getpid()) +
+                        ".bin"))
+                          .string();
 };
 
 TEST_F(CheckpointTest, RoundTripsBitExactly) {
@@ -123,6 +134,74 @@ TEST_F(CheckpointTest, RejectsGarbageFiles) {
   std::fclose(f);
   TensorH t(Shape("x", {4}));
   EXPECT_THROW(LoadCheckpoint(path_, {{"a", &t}}), InvalidArgument);
+}
+
+/// A hand-assembled checkpoint: `magic`, `version`, then one tensor "w"
+/// with `dims` stored as given and `payload` zero bytes after them.
+void WriteRawCheckpoint(
+    const std::string& path, const std::string& magic, std::uint32_t version,
+    const std::vector<std::pair<char, std::uint64_t>>& dims,
+    std::size_t payload) {
+  std::ofstream os(path, std::ios::binary);
+  auto put = [&](const auto& v) {
+    os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  os.write(magic.data(), 4);
+  put(version);
+  put(std::uint32_t{1});  // tensor count
+  put(std::uint32_t{1});  // name length
+  os.put('w');
+  put(static_cast<std::uint32_t>(dims.size()));
+  for (const auto& [name, extent] : dims) {
+    os.put(name);
+    put(extent);
+  }
+  const std::string zeros(payload, '\0');
+  os.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+}
+
+TEST_F(CheckpointTest, RejectsCorruptFilesByName) {
+  // A stored extent sizes an allocation, so a corrupt one must fail by
+  // name before anything is allocated -- not as bad_alloc, a silently
+  // wrapped element count, or a gigabyte zero fill.
+  struct Case {
+    const char* what;
+    std::string magic;
+    std::uint32_t version;
+    std::vector<std::pair<char, std::uint64_t>> dims;
+    std::size_t payload;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {"extent 2^40 in a 40-byte file", "XFLW", 1, {{'x', 1ull << 40}}, 10,
+       "tensor 'w' has extents [x:1099511627776]"},
+      {"extents whose product overflows int64", "XFLW", 1,
+       {{'x', 1ull << 32}, {'y', 1ull << 32}}, 8,
+       "tensor 'w' has extents [x:4294967296,y:4294967296]"},
+      {"short payload", "XFLW", 1, {{'x', 4}}, 6,
+       "tensor 'w' has extents [x:4]"},
+      {"bad magic", "XFLX", 1, {{'x', 4}}, 8, "bad magic"},
+      {"bad version", "XFLW", 2, {{'x', 4}}, 8,
+       "unsupported checkpoint version"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    WriteRawCheckpoint(path_, c.magic, c.version, c.dims, c.payload);
+    TensorH t(Shape("x", {4}));
+    for (const auto& read : std::vector<std::function<void()>>{
+             [&] { LoadCheckpoint(path_, {{"w", &t}}); },
+             [&] { InspectCheckpoint(path_); }}) {
+      try {
+        read();
+        ADD_FAILURE() << "corrupt checkpoint was accepted";
+      } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+            << e.what();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "not an InvalidArgument: " << e.what();
+      }
+    }
+  }
 }
 
 TEST_F(CheckpointTest, InspectListsContents) {

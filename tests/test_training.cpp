@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/error.hpp"
 #include "common/threadpool.hpp"
 #include "transformer/encoder.hpp"
 
@@ -77,6 +80,33 @@ TEST(MseLoss, ZeroAtTargetAndGradientPointsUp) {
     // d/dy of (y-0)^2/N has the sign of y.
     EXPECT_GE(float(d_y.data()[i]) * float(y.data()[i]), 0.0f);
   }
+}
+
+TEST(MseLoss, RejectsTensorsNotShapedLikeY) {
+  // Elements pair by memory position, so a target in another dim order
+  // or with swapped extents would be compared with the wrong y values.
+  // Both must fail, naming both shapes; so must a mis-shaped d_y.
+  const auto y = TensorH::Random(Shape("ibj", {8, 2, 6}), 1);
+  TensorH d_y(y.shape());
+  const auto permuted = y.Permuted("bji");
+  const auto swapped = TensorH::Random(Shape("ibj", {6, 2, 8}), 2);
+  auto message = [&](const TensorH& target, TensorH& grad) -> std::string {
+    try {
+      MseLoss(y, target, grad);
+    } catch (const InvalidArgument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string perm = message(permuted, d_y);
+  EXPECT_NE(perm.find("target bji[2,6,8]"), std::string::npos) << perm;
+  EXPECT_NE(perm.find("ibj[8,2,6]"), std::string::npos) << perm;
+  const std::string swap = message(swapped, d_y);
+  EXPECT_NE(swap.find("target ibj[6,2,8]"), std::string::npos) << swap;
+  EXPECT_NE(swap.find("ibj[8,2,6]"), std::string::npos) << swap;
+  TensorH wrong_d_y(swapped.shape());
+  const std::string grad = message(y, wrong_d_y);
+  EXPECT_NE(grad.find("d_y ibj[6,2,8]"), std::string::npos) << grad;
 }
 
 TEST(Training, EncoderLayerLearnsIdentityTarget) {

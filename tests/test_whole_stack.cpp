@@ -118,6 +118,20 @@ TEST(WholeStack, BitwiseMatchesOwningCausal) {
   }
 }
 
+TEST(WholeStack, BitwiseMatchesOwningSingleToken) {
+  // b = j = k = 1 degenerates the GEMMs: per layer the two-input
+  // contractions classify as 7 gemv, 3 ger, 2 reduction and 4 view
+  // sites, so every specialized kernel class runs through the
+  // executor's dispatch.
+  for (const int threads : {1, 8}) {
+    for (const bool fused : {true, false}) {
+      EncoderConfig cfg = TestConfig(fused);
+      cfg.dims.b = cfg.dims.j = cfg.dims.k = 1;
+      ParityAt(cfg, 2, threads);
+    }
+  }
+}
+
 TEST(WholeStack, BitwiseMatchesOwningBertBase) {
   // Full-size dims, one layer; the 1/8-thread CTest re-runs of this suite
   // provide the thread-count coverage. Skipped under sanitizers, where the
