@@ -51,32 +51,47 @@ bool HasDataflowLink(const DataflowGraph& g, const std::vector<int>& group,
                      });
 }
 
-/// Paper names for recognized kind sequences.
-std::string PaperName(const DataflowGraph& g, const std::vector<int>& group,
-                      int& drln_count) {
+/// One fused launch: its op kinds in graph order, and the first member
+/// whose first input must be its predecessor's first output (earlier
+/// members are siblings).
+struct LaunchPattern {
+  FusedLaunch launch;
   std::vector<OpKind> kinds;
-  kinds.reserve(group.size());
-  for (int idx : group) {
-    kinds.push_back(g.ops()[static_cast<std::size_t>(idx)].kind);
-  }
-  const auto is = [&](std::initializer_list<OpKind> seq) {
-    return kinds == std::vector<OpKind>(seq);
-  };
+  std::size_t chain_begin;
+};
 
-  if (is({OpKind::kBias, OpKind::kDropout, OpKind::kResidual,
-          OpKind::kLayerNorm})) {
-    return ++drln_count == 1 ? "DRLN" : "BDRLN";
+const std::vector<LaunchPattern>& LaunchTable() {
+  static const std::vector<LaunchPattern> table = {
+      {FusedLaunch::kDRLN,
+       {OpKind::kBias, OpKind::kDropout, OpKind::kResidual,
+        OpKind::kLayerNorm},
+       1},
+      {FusedLaunch::kBRD, {OpKind::kBias, OpKind::kReLU, OpKind::kDropout},
+       1},
+      {FusedLaunch::kBLNRD, {OpKind::kLayerNormDX, OpKind::kDropoutDX}, 1},
+      {FusedLaunch::kBDRB,
+       {OpKind::kBiasDW, OpKind::kDropoutDX, OpKind::kReLUDX,
+        OpKind::kBiasDW},
+       2},
+      {FusedLaunch::kEBSB, {OpKind::kResidualBwd, OpKind::kLayerNormDW}, 1},
+  };
+  return table;
+}
+
+/// Paper names for recognized groups.
+std::string PaperName(const DataflowGraph& g, const std::vector<int>& group,
+                      FusedLaunch launch, int& drln_count) {
+  switch (launch) {
+    case FusedLaunch::kDRLN: return ++drln_count == 1 ? "DRLN" : "BDRLN";
+    case FusedLaunch::kBRD: return "BRD";
+    case FusedLaunch::kBLNRD: return "BLNRD";
+    case FusedLaunch::kBDRB: return "BDRB";
+    case FusedLaunch::kEBSB: return "EBSB";
+    case FusedLaunch::kNone: break;
   }
-  if (is({OpKind::kBias, OpKind::kReLU, OpKind::kDropout})) return "BRD";
-  if (is({OpKind::kLayerNormDX, OpKind::kDropoutDX})) return "BLNRD";
-  if (is({OpKind::kBiasDW, OpKind::kDropoutDX, OpKind::kReLUDX,
-          OpKind::kBiasDW})) {
-    return "BDRB";
-  }
-  if (is({OpKind::kResidualBwd, OpKind::kLayerNormDW})) return "EBSB";
-  if (kinds.size() == 1) {
+  if (group.size() == 1) {
     const auto& op = g.ops()[static_cast<std::size_t>(group[0])];
-    switch (kinds[0]) {
+    switch (op.kind) {
       case OpKind::kScaledSoftmax: return "SM";
       case OpKind::kScaledSoftmaxDX: return "BS";
       case OpKind::kLayerNormDW: return "BSB";
@@ -128,22 +143,35 @@ FusedKernel MakeKernel(const DataflowGraph& g, std::vector<int> group,
       k.interim.push_back(t);
     }
   }
-  k.name = PaperName(g, k.op_indices, drln_count);
+  k.launch = LaunchOf(g, k.op_indices);
+  k.name = PaperName(g, k.op_indices, k.launch, drln_count);
   return k;
 }
 
 }  // namespace
 
+FusedLaunch LaunchOf(const DataflowGraph& g,
+                     const std::vector<int>& op_indices) {
+  const auto op = [&](std::size_t m) -> const OpNode& {
+    return g.ops()[static_cast<std::size_t>(op_indices[m])];
+  };
+  for (const LaunchPattern& p : LaunchTable()) {
+    bool match = p.kinds.size() == op_indices.size();
+    for (std::size_t m = 0; match && m < op_indices.size(); ++m) {
+      match = op(m).kind == p.kinds[m] &&
+              (m < p.chain_begin ||
+               (!op(m).inputs.empty() && !op(m - 1).outputs.empty() &&
+                op(m).inputs.front() == op(m - 1).outputs.front()));
+    }
+    if (match) return p.launch;
+  }
+  return FusedLaunch::kNone;
+}
+
 bool FusedKernel::IsContraction(const DataflowGraph& g) const {
   return op_indices.size() == 1 &&
          g.ops()[static_cast<std::size_t>(op_indices[0])].cls() ==
              OpClass::kContraction;
-}
-
-bool FusedKernel::LaunchesAsOneKernel() const {
-  return op_indices.size() > 1 &&
-         (name == "DRLN" || name == "BDRLN" || name == "BRD" ||
-          name == "BLNRD" || name == "BDRB" || name == "EBSB");
 }
 
 bool IterationSpacesCompatible(const OpNode& a, const OpNode& b) {

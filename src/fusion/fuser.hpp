@@ -13,6 +13,11 @@
 //  * Launch merge: a lone all-reduce operator (e.g. bias dW) merges into an
 //    adjacent group that ends in a reduction over the same dims, sharing
 //    one kernel's warp-reduction machinery (gives the paper's BDRB).
+//
+// Which groups launch as ONE kernel is decided by one table, LaunchOf:
+// the planner declares exactly those groups as fused spans
+// (transformer::StackPlanOptions), and the executor launches exactly the
+// spans its plan declares.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +28,26 @@
 
 namespace xflow::fusion {
 
+/// The paper's multi-op kernels (Sec. IV-A) that launch as one fused
+/// kernel; every other group, kNone, runs op by op.
+enum class FusedLaunch { kNone, kDRLN, kBRD, kBLNRD, kBDRB, kEBSB };
+
+/// Recognizes the ops at `op_indices` (graph order) as one fused launch.
+/// Two things must match a table entry: the ops' kinds, in order, and the
+/// operand chain the fused kernel assumes -- every op's first input is
+/// its predecessor's first output, except BDRB's leading bias dW, a
+/// sibling that reduces another gradient. kNone otherwise. Whether the
+/// ops are consecutive is the caller's to check.
+FusedLaunch LaunchOf(const graph::DataflowGraph& g,
+                     const std::vector<int>& op_indices);
+
 /// One fused kernel: a group of operator indices plus its external I/O.
 struct FusedKernel {
   std::string name;  // paper name when recognized (AIB, SM, BRD, ...)
   std::vector<int> op_indices;
+  /// LaunchOf(op_indices): which groups the executor launches as one
+  /// kernel, so the planner must treat their ops as one atomic span.
+  FusedLaunch launch = FusedLaunch::kNone;
   std::vector<std::string> external_inputs;
   std::vector<std::string> external_outputs;
   /// Tensors produced and consumed strictly inside the group: their loads
@@ -36,10 +57,6 @@ struct FusedKernel {
   std::string reduction_dims;
 
   [[nodiscard]] bool IsContraction(const graph::DataflowGraph& g) const;
-  /// True exactly for the recognized multi-op paper kernels. The executor
-  /// launches each as one kernel, so the planner and verifier treat its
-  /// ops as one atomic span; any other group runs op by op.
-  [[nodiscard]] bool LaunchesAsOneKernel() const;
 };
 
 struct FusionResult {

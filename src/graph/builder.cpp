@@ -469,15 +469,8 @@ DataflowGraph BuildEncoderStack(const ModelDims& d,
   }
   const DataflowGraph layer =
       BuildEncoder(d, AlgebraicFusion::kQKV, o.include_backward);
-  // Split the per-layer op list into forward and backward regions (the
-  // first gradient-computing op opens the backward region).
-  std::size_t bwd_begin = layer.ops().size();
-  for (std::size_t i = 0; i < layer.ops().size(); ++i) {
-    if (IsBackwardOp(layer.ops()[i].kind)) {
-      bwd_begin = i;
-      break;
-    }
-  }
+  // Split the per-layer op list into forward and backward regions.
+  const auto bwd_begin = static_cast<std::size_t>(layer.BackwardBegin());
   // Interior forward products of one layer -- what a checkpointed layer
   // recomputes. `y` is a layer boundary: always stored, never cloned into
   // a consumable "@r" version (its clone output is a dead byproduct).

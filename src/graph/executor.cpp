@@ -12,7 +12,6 @@
 #include "common/strings.hpp"
 #include "common/threadpool.hpp"
 #include "config/autotune.hpp"
-#include "fusion/fuser.hpp"
 #include "ops/elementwise.hpp"
 #include "ops/embedding.hpp"
 #include "ops/fused.hpp"
@@ -57,11 +56,6 @@ char ReduceDim(const OpNode& op) {
 }
 
 }  // namespace
-
-template <typename T>
-bool GraphExecutorT<T>::IsBackwardKind(OpKind kind) {
-  return IsBackwardOp(kind);
-}
 
 template <typename T>
 GraphExecutorT<T>::GraphExecutorT(DataflowGraph graph, const MemoryPlan* plan,
@@ -120,15 +114,7 @@ void GraphExecutorT<T>::BuildBindings() {
 template <typename T>
 void GraphExecutorT<T>::BuildSchedule() {
   const auto& ops = graph_.ops();
-  backward_begin_ = static_cast<int>(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    // Checkpoint recompute clones precede the first backward-kind op of
-    // their layer; they belong to Backward(), not Forward().
-    if (IsBackwardKind(ops[i].kind) || !ops[i].recompute_of.empty()) {
-      backward_begin_ = static_cast<int>(i);
-      break;
-    }
-  }
+  backward_begin_ = graph_.BackwardBegin();
 
   // Per-op attributes resolved once: parsed einsum specs, stacked-operand
   // substitution, and the dropout seed schedule (appearance order over
@@ -190,41 +176,42 @@ void GraphExecutorT<T>::BuildSchedule() {
     contraction_operands_[idx] = std::move(operands);
   }
 
-  // Schedule. Fused mode takes the groups the fusion pass chooses and
-  // dispatches the recognized paper kernels as single launches; anything
-  // unrecognized falls back to per-op execution, so fuser changes degrade
-  // to correct (if slower) schedules instead of failing.
-  steps_.clear();
-  auto push_single = [&](int idx) {
-    steps_.push_back(Step{StepKind::kSingle, {idx}});
-  };
+  // Schedule: in fused mode, the plan's fused spans -- the kernels whose
+  // liveness it laid out -- each launch as one paper kernel; every other
+  // op launches alone. Spans absent from the graph (the backward spans of
+  // a forward-only graph) are skipped.
+  std::vector<Step> fused(ops.size());  // by first op index
+  std::vector<bool> covered(ops.size(), false);
   if (options_.use_fused_kernels) {
-    const auto fused = fusion::FuseMaximally(graph_);
-    for (const auto& kernel : fused.kernels) {
-      if (!kernel.LaunchesAsOneKernel()) {
-        for (int idx : kernel.op_indices) push_single(idx);
-        continue;
+    for (const auto& span : plan_->options().fused_spans) {
+      Step step;
+      for (const auto& name : span) {
+        if (const int i = graph_.OpIndex(name); i >= 0) step.ops.push_back(i);
       }
-      StepKind kind = StepKind::kSingle;
-      if (kernel.name == "DRLN" || kernel.name == "BDRLN") {
-        kind = StepKind::kDRLN;
-      } else if (kernel.name == "BRD") {
-        kind = StepKind::kBRD;
-      } else if (kernel.name == "BLNRD") {
-        kind = StepKind::kBLNRD;
-      } else if (kernel.name == "BDRB") {
-        kind = StepKind::kBDRB;
-      } else if (kernel.name == "EBSB") {
-        kind = StepKind::kEBSB;
+      if (step.ops.empty()) continue;
+      const std::string what =
+          StrFormat("fused span '%s'", Join(span, "' + '").c_str());
+      bool run = step.ops.size() == span.size();
+      for (std::size_t m = 0; run && m < step.ops.size(); ++m) {
+        const auto idx = static_cast<std::size_t>(step.ops[m]);
+        run = (m == 0 || step.ops[m] == step.ops[m - 1] + 1) && !covered[idx];
+        covered[idx] = true;
       }
-      check(kind != StepKind::kSingle,
-            StrFormat("no fused launch for kernel '%s'", kernel.name.c_str()));
-      steps_.push_back(Step{kind, kernel.op_indices});
+      require(run, what + " is not a run of consecutive ops disjoint from "
+                          "the other spans");
+      step.launch = fusion::LaunchOf(graph_, step.ops);
+      require(step.launch != fusion::FusedLaunch::kNone,
+              what + " is not a fused kernel the executor can launch");
+      const auto first = static_cast<std::size_t>(step.ops.front());
+      fused[first] = std::move(step);
     }
-  } else {
-    for (std::size_t i = 0; i < graph_.ops().size(); ++i) {
-      push_single(static_cast<int>(i));
-    }
+  }
+  steps_.clear();
+  for (std::size_t i = 0; i < ops.size();) {
+    Step& step = fused[i];
+    if (step.ops.empty()) step.ops = {static_cast<int>(i)};  // kNone: alone
+    i += step.ops.size();
+    steps_.push_back(std::move(step));
   }
 
   backward_begin_step_ = static_cast<int>(steps_.size());
@@ -323,34 +310,38 @@ const PlanGroup* GraphExecutorT<T>::GroupMatching(
 }
 
 template <typename T>
-void GraphExecutorT<T>::BindInput(const std::string& name,
-                                  const Tensor<T>& tensor) {
+void GraphExecutorT<T>::Bind(const std::string& name, const Tensor<T>& tensor,
+                             bool writable) {
   require(graph_.HasTensor(name),
           StrFormat("graph has no container '%s'", name.c_str()));
-  require(tensor.size() == graph_.tensor(name).shape.num_elements(),
-          StrFormat("bound '%s' does not match its graph element count",
-                    name.c_str()));
-  // Stored as an aliasing view: never copied, never written (enforced at
-  // dispatch through the writable_ flag).
+  // Kernels address operands by dim name, so any memory order works; a
+  // matching element count alone would let a kernel walk past the end.
+  const Shape& want = graph_.tensor(name).shape;
+  const Shape& got = tensor.shape();
+  require(std::is_permutation(got.dims().begin(), got.dims().end(),
+                              want.dims().begin(), want.dims().end()),
+          StrFormat("bound '%s' is %s, but the graph container is %s (the "
+                    "same dims and extents, in any order)",
+                    name.c_str(), ToString(got).c_str(),
+                    ToString(want).c_str()));
+  // Stored as an aliasing view: never copied, and never written unless
+  // bound writable (enforced at dispatch through the writable_ flag).
   bound_.insert_or_assign(
-      name, Tensor<T>::FromSpan(tensor.shape(), const_cast<T*>(tensor.data())));
-  writable_[name] = false;
+      name, Tensor<T>::FromSpan(got, const_cast<T*>(tensor.data())));
+  writable_[name] = writable;
   forward_preflight_pending_ = true;
   backward_preflight_pending_ = true;
 }
 
 template <typename T>
+void GraphExecutorT<T>::BindInput(const std::string& name,
+                                  const Tensor<T>& tensor) {
+  Bind(name, tensor, /*writable=*/false);
+}
+
+template <typename T>
 void GraphExecutorT<T>::BindOutput(const std::string& name, Tensor<T>& tensor) {
-  require(graph_.HasTensor(name),
-          StrFormat("graph has no container '%s'", name.c_str()));
-  require(tensor.size() == graph_.tensor(name).shape.num_elements(),
-          StrFormat("bound '%s' does not match its graph element count",
-                    name.c_str()));
-  bound_.insert_or_assign(name,
-                          Tensor<T>::FromSpan(tensor.shape(), tensor.data()));
-  writable_[name] = true;
-  forward_preflight_pending_ = true;
-  backward_preflight_pending_ = true;
+  Bind(name, tensor, /*writable=*/true);
 }
 
 template <typename T>
@@ -437,7 +428,7 @@ VerifyReport GraphExecutorT<T>::VerifyBindingsInRange(
 template <typename T>
 void GraphExecutorT<T>::MaybeVerify(int begin_op, int end_op, bool* pending) {
   if (!*pending || !PreflightVerifyEnabled()) return;
-  VerifyReport report = Verify(graph_, *plan_);
+  VerifyReport report = Verify(graph_, *plan_, plan_->options());
   VerifyReport bindings =
       VerifyBindingsInRange(begin_op, end_op, /*warn_unused=*/false);
   report.issues.insert(report.issues.end(),
@@ -555,31 +546,29 @@ void GraphExecutorT<T>::Dispatch(const Step& step) {
   const auto op = [&](std::size_t member) -> const OpNode& {
     return graph_.ops()[static_cast<std::size_t>(step.ops[member])];
   };
-  switch (step.kind) {
-    case StepKind::kSingle:
+  // Operand roles follow fusion::LaunchOf's chain: each chained op's
+  // first input is its predecessor's first output.
+  switch (step.launch) {
+    case fusion::FusedLaunch::kNone:
       DispatchSingle(op(0), step.ops[0]);
       return;
-    case StepKind::kDRLN: {
+    case fusion::FusedLaunch::kDRLN: {
       // bias -> dropout -> residual -> layernorm, one pass over memory.
       const OpNode& bias = op(0);
       const OpNode& drop = op(1);
       const OpNode& resid = op(2);
       const OpNode& ln = op(3);
-      // The residual leg is the input the group did not produce itself.
-      const std::string& res_in =
-          resid.inputs[0] == drop.outputs[0] ? resid.inputs[1]
-                                             : resid.inputs[0];
       const DropoutMask mask(dropout_seed_.at(step.ops[1]),
                              options_.dropout_prob);
       ops::BiasDropoutResidualLayerNorm(
-          View(bias.inputs[0]), View(bias.inputs[1]), View(res_in), mask,
-          View(ln.inputs[1]), View(ln.inputs[2]), NormDim(ln),
+          View(bias.inputs[0]), View(bias.inputs[1]), View(resid.inputs[1]),
+          mask, View(ln.inputs[1]), View(ln.inputs[2]), NormDim(ln),
           options_.ln_eps, MutableView(resid.outputs[0]),
           MutableView(drop.outputs[1]), MutableView(ln.outputs[0]),
           StatView(ln.outputs[1]), StatView(ln.outputs[2]));
       return;
     }
-    case StepKind::kBRD: {
+    case fusion::FusedLaunch::kBRD: {
       const OpNode& bias = op(0);
       const OpNode& relu = op(1);
       const OpNode& drop = op(2);
@@ -591,7 +580,7 @@ void GraphExecutorT<T>::Dispatch(const Step& step) {
                            MutableView(drop.outputs[1]));
       return;
     }
-    case StepKind::kBLNRD: {
+    case fusion::FusedLaunch::kBLNRD: {
       const OpNode& ln_dx = op(0);
       const OpNode& drop_dx = op(1);
       ops::LayerNormDropoutBackward(
@@ -601,7 +590,7 @@ void GraphExecutorT<T>::Dispatch(const Step& step) {
           MutableView(ln_dx.outputs[0]), MutableView(drop_dx.outputs[0]));
       return;
     }
-    case StepKind::kBDRB: {
+    case fusion::FusedLaunch::kBDRB: {
       const OpNode& bias_hi = op(0);
       const OpNode& drop_dx = op(1);
       const OpNode& relu_dx = op(2);
@@ -613,7 +602,7 @@ void GraphExecutorT<T>::Dispatch(const Step& step) {
           MutableView(bias_lo.outputs[0]));
       return;
     }
-    case StepKind::kEBSB: {
+    case fusion::FusedLaunch::kEBSB: {
       const OpNode& resid = op(0);
       const OpNode& ln_dw = op(1);
       ops::ResidualLayerNormDwBackward(
@@ -709,18 +698,14 @@ void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
       ops::ResidualForward(View(op.inputs[0]), View(op.inputs[1]),
                            MutableView(op.outputs[0]));
       return;
-    case OpKind::kScale:
-      ops::ScaleForward(View(op.inputs[0]), options_.attn_scale,
-                        MutableView(op.outputs[0]));
-      return;
     case OpKind::kScaledSoftmax: {
       const DropoutMask mask(dropout_seed_.at(op_index),
                              options_.dropout_prob);
       if (options_.causal) {
         ops::CausalScaledSoftmaxForward(
-            View(op.inputs[0]), ReduceDim(op), options_.attn_query_dim,
-            options_.attn_scale, mask, MutableView(op.outputs[0]),
-            MutableView(op.outputs[1]), MutableView(op.outputs[2]));
+            View(op.inputs[0]), ReduceDim(op), 'j', options_.attn_scale, mask,
+            MutableView(op.outputs[0]), MutableView(op.outputs[1]),
+            MutableView(op.outputs[2]));
       } else {
         ops::ScaledSoftmaxForward(
             View(op.inputs[0]), ReduceDim(op), options_.attn_scale, mask,

@@ -14,17 +14,21 @@
 //     activations) resolve to Workspace views at their MemoryPlan offset;
 //   * weights, weight gradients and graph inputs (x, d_y) are *external*:
 //     the caller binds them by reference (BindInput / BindOutput) and the
-//     executor never copies or stages them;
+//     executor never copies or stages them. A bound tensor must have its
+//     container's dims and extents, in any memory order;
 //   * plan groups (MemoryPlan::groups(), the algebraically stacked Q/K/V
 //     blocks) resolve to one contiguous view spanning their members, so
 //     stacked contractions read/write a single tensor with zero-copy
 //     splits.
 //
-// With `use_fused_kernels` the schedule comes from fusion::FuseMaximally:
-// recognized multi-op kernels (DRLN/BDRLN, BRD, BLNRD, BDRB, EBSB)
-// dispatch as one fused launch -- the same launches the owning reference
-// layer (transformer/encoder.hpp) performs -- so executor results are
-// bitwise identical to the owning reference at every thread count.
+// With `use_fused_kernels` the schedule is the plan's own: each of
+// plan->options().fused_spans (DRLN/BDRLN, BRD, BLNRD, BDRB, EBSB, as
+// fusion::LaunchOf recognizes them) dispatches as one fused launch -- the
+// same launches the owning reference layer (transformer/encoder.hpp)
+// performs -- and every other op alone, so the executor runs exactly the
+// kernels whose liveness the plan laid out. Without fused kernels every
+// op runs alone. Either way results are bitwise identical to the owning
+// reference at every thread count.
 // Steady-state Run calls perform zero tensor or workspace allocations: all
 // views are non-owning aliases.
 //
@@ -52,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "fusion/fuser.hpp"
 #include "graph/graph.hpp"
 #include "graph/memory_plan.hpp"
 #include "graph/verify.hpp"
@@ -68,18 +73,16 @@ namespace xflow::graph {
 /// Runtime attributes the graph does not carry: the scalar knobs of the
 /// softmax/layernorm/dropout kernels and the dropout seed schedule.
 struct ExecutorOptions {
-  /// Dispatch recognized multi-op groups as the paper's fused kernels;
+  /// Launch the plan's fused spans as the paper's fused kernels;
   /// otherwise every op runs as its own kernel launch.
   bool use_fused_kernels = true;
-  /// Causal (decoder-style) attention masking inside the SM kernel.
+  /// Causal (decoder-style) attention masking inside the SM kernel, over
+  /// the query-position dim j.
   bool causal = false;
   float dropout_prob = 0.0f;
   float ln_eps = 1e-5f;
-  /// The 1/sqrt(p) scaling folded into the SM/BS kernels (also used for
-  /// standalone kScale nodes, which model the same attention scaling).
+  /// The 1/sqrt(p) scaling folded into the SM/BS kernels.
   float attn_scale = 1.0f;
-  /// Query-position dim for causal masking (the paper's j).
-  char attn_query_dim = 'j';
   /// Seeds for the dropout-bearing ops (kScaledSoftmax, kDropout), in
   /// graph appearance order -- the layer's per-site Philox streams.
   std::vector<std::uint64_t> dropout_seeds;
@@ -87,7 +90,9 @@ struct ExecutorOptions {
 
 /// Interprets a DataflowGraph over a planned Workspace slab. `plan` and
 /// `workspace` (typically a StackArenaT's) must outlive the executor and
-/// the workspace must already be reserved to plan->PeakBytes().
+/// the workspace must already be reserved to plan->PeakBytes(). Throws
+/// InvalidArgument naming any declared fused span that is not a run of
+/// consecutive ops fusion::LaunchOf recognizes.
 template <typename T>
 class GraphExecutorT {
  public:
@@ -95,11 +100,13 @@ class GraphExecutorT {
                  Workspace* workspace, ExecutorOptions options);
 
   /// Binds a read-only external container (graph input or weight). The
-  /// tensor's storage must stay valid and unmoved until the next rebind;
-  /// rebinding every Run is cheap (an aliasing view, no copy).
+  /// tensor must have the container's dims and extents, in any memory
+  /// order (InvalidArgument naming both shapes otherwise), and its
+  /// storage must stay valid and unmoved until the next rebind; rebinding
+  /// every Run is cheap (an aliasing view, no copy).
   void BindInput(const std::string& name, const Tensor<T>& tensor);
-  /// Binds a writable external container (a weight gradient). Must
-  /// already have its graph shape's element count.
+  /// Binds a writable external container (a weight gradient); shaped as
+  /// for BindInput.
   void BindOutput(const std::string& name, Tensor<T>& tensor);
   /// Binds the token ids a kEmbed/kEmbedDW op reads (row-major [b][j]).
   /// Copied: the caller's vector need not outlive the call.
@@ -124,36 +131,23 @@ class GraphExecutorT {
   /// d_y there, so Forward() already runs it.
   [[nodiscard]] double last_loss() const { return last_loss_; }
 
-  /// Index of the first backward op (== ops().size() for forward-only
-  /// graphs): the boundary between Forward() and Backward(). Checkpoint
-  /// recompute clones count as backward -- they run directly before the
-  /// backward ops that read their outputs.
+  /// DataflowGraph::BackwardBegin(): the boundary between Forward() and
+  /// Backward(). Checkpoint recompute clones count as backward -- they run
+  /// directly before the backward ops that read their outputs.
   [[nodiscard]] int backward_begin() const { return backward_begin_; }
   [[nodiscard]] const DataflowGraph& graph() const { return graph_; }
   [[nodiscard]] const ExecutorOptions& options() const { return options_; }
-  /// Number of scheduled kernel launches (fused groups count once).
+  /// Number of scheduled kernel launches (fused spans count once).
   [[nodiscard]] int num_steps() const {
     return static_cast<int>(steps_.size());
   }
 
-  /// True for the backward-pass kinds (the kinds appended after the
-  /// forward graph by the builders).
-  static bool IsBackwardKind(OpKind kind);
-
  private:
-  /// One scheduled kernel launch: a single op, or a recognized fused
-  /// group dispatched as one of the paper's fused kernels.
-  enum class StepKind {
-    kSingle,  // dispatch by OpKind
-    kDRLN,    // [B]DRLN: bias + dropout + residual + layernorm
-    kBRD,     // bias + ReLU + dropout
-    kBLNRD,   // layernorm dX + dropout dX
-    kBDRB,    // bias dW + dropout dX + ReLU dX + bias dW
-    kEBSB,    // residual merge + layernorm dW
-  };
+  /// One scheduled kernel launch: a single op (kNone, dispatched by
+  /// OpKind), or a declared fused span launched as one paper kernel.
   struct Step {
-    StepKind kind = StepKind::kSingle;
-    std::vector<int> ops;  // graph op indices, in graph order
+    fusion::FusedLaunch launch = fusion::FusedLaunch::kNone;
+    std::vector<int> ops;  // graph op indices, consecutive
   };
   /// Resolved operand roles of a contraction step (group names already
   /// substituted for stacked member lists).
@@ -163,12 +157,14 @@ class GraphExecutorT {
 
   void BuildBindings();
   void BuildSchedule();
+  /// Aliasing view of `tensor` for container `name`, after checking it
+  /// has the container's dims and extents.
+  void Bind(const std::string& name, const Tensor<T>& tensor, bool writable);
   void BuildStepDeps();
   /// Pre-flight: when PreflightVerifyEnabled() and a bind happened since
-  /// the last successful check of this pass, re-verify (graph, plan) plus
-  /// the bindings the ops in [begin_op, end_op) touch, and throw
-  /// InvalidArgument on any error. Rebind-only re-checks are cheap (no
-  /// fusion pass in the two-arg Verify).
+  /// the last successful check of this pass, re-verify (graph, plan)
+  /// against plan->options() plus the bindings the ops in [begin_op,
+  /// end_op) touch, and throw InvalidArgument on any error.
   void MaybeVerify(int begin_op, int end_op, bool* pending);
   [[nodiscard]] VerifyReport VerifyBindingsInRange(int begin_op, int end_op,
                                                    bool warn_unused) const;

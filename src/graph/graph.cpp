@@ -52,11 +52,25 @@ const TensorNode& DataflowGraph::tensor(const std::string& name) const {
 }
 
 const OpNode& DataflowGraph::op(const std::string& name) const {
-  for (const auto& o : ops_) {
-    if (o.name == name) return o;
+  const int index = OpIndex(name);
+  require(index >= 0, StrFormat("unknown op '%s'", name.c_str()));
+  return ops_[static_cast<std::size_t>(index)];
+}
+
+int DataflowGraph::OpIndex(const std::string& name) const {
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    if (ops_[i].name == name) return static_cast<int>(i);
   }
-  require(false, StrFormat("unknown op '%s'", name.c_str()));
-  return ops_.front();
+  return -1;
+}
+
+int DataflowGraph::BackwardBegin() const {
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    if (IsBackwardOp(ops_[i].kind) || !ops_[i].recompute_of.empty()) {
+      return static_cast<int>(i);
+    }
+  }
+  return static_cast<int>(ops_.size());
 }
 
 int DataflowGraph::ProducerOf(const std::string& tensor_name) const {

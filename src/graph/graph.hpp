@@ -68,6 +68,15 @@ class DataflowGraph {
     return tensors_;
   }
   [[nodiscard]] const OpNode& op(const std::string& name) const;
+  /// Index of the op named `name`, or -1 when the graph has none.
+  [[nodiscard]] int OpIndex(const std::string& name) const;
+
+  /// Index of the first backward op (ops().size() for forward-only
+  /// graphs): the first gradient-computing kind (IsBackwardOp) or
+  /// checkpoint-recompute clone, which runs inside the backward pass. The
+  /// executor's Forward()/Backward() split; the planner and verifier
+  /// treat it as a synchronization point.
+  [[nodiscard]] int BackwardBegin() const;
 
   /// Index of the op producing `tensor_name`, or -1 for graph inputs.
   [[nodiscard]] int ProducerOf(const std::string& tensor_name) const;

@@ -125,18 +125,16 @@ MemoryPlan PlanMemory(const DataflowGraph& graph,
     op_span[i] = {static_cast<int>(i), static_cast<int>(i)};
   }
   for (const auto& span : options.fused_spans) {
-    int lo = last_op + 1, hi = -1;
     std::vector<int> members;
     for (const auto& op_name : span) {
-      for (std::size_t i = 0; i < graph.ops().size(); ++i) {
-        if (graph.ops()[i].name == op_name) {
-          members.push_back(static_cast<int>(i));
-          lo = std::min(lo, static_cast<int>(i));
-          hi = std::max(hi, static_cast<int>(i));
-        }
-      }
+      if (const int i = graph.OpIndex(op_name); i >= 0) members.push_back(i);
     }
-    for (int i : members) op_span[static_cast<std::size_t>(i)] = {lo, hi};
+    if (members.empty()) continue;
+    require(members.size() == span.size(),
+            StrFormat("fused span '%s' is only partially present",
+                      Join(span, "' + '").c_str()));
+    const auto [lo, hi] = std::minmax_element(members.begin(), members.end());
+    for (int i : members) op_span[static_cast<std::size_t>(i)] = {*lo, *hi};
   }
   auto interval = [&](const std::string& name) {
     const int producer = graph.ProducerOf(name);
@@ -203,6 +201,7 @@ MemoryPlan PlanMemory(const DataflowGraph& graph,
   };
 
   MemoryPlan plan;
+  plan.options_ = options;
   std::vector<Unit> units;
   for (const auto& g : options.groups) {
     require(!g.members.empty(),
@@ -288,14 +287,7 @@ MemoryPlan PlanMemory(const DataflowGraph& graph,
   // them to the layer's original forward ops -- could never reuse the
   // originals' bytes, defeating checkpointing. Mirrored by the verifier's
   // plan/concurrent-overlap rule (graph/verify.cpp).
-  int bwd_begin = static_cast<int>(graph.ops().size());
-  for (std::size_t i = 0; i < graph.ops().size(); ++i) {
-    if (IsBackwardOp(graph.ops()[i].kind) ||
-        !graph.ops()[i].recompute_of.empty()) {
-      bwd_begin = static_cast<int>(i);
-      break;
-    }
-  }
+  const int bwd_begin = graph.BackwardBegin();
   // Every access to `early` must be a graph predecessor of every *write*
   // to `late` (or separated from it by the pass barrier); reads of `late`
   // are then ordered transitively through their member's producer edge.

@@ -56,13 +56,15 @@ struct PlanOptions {
   /// inputs the executor passes by reference instead of staging in the
   /// arena, e.g. the encoder's d_y.
   std::vector<std::string> exclude;
-  /// Op groups the runtime executes as ONE fused kernel (Sec. IV-A).
-  /// Liveness treats each group as a single operator spanning its op-index
-  /// range, so a kernel's inputs can never share bytes with its outputs --
-  /// the kernel reads and writes them concurrently, and per-op liveness
-  /// would otherwise let first-fit recycle an input mid-kernel. Names
-  /// missing from the graph are ignored (forward-only graphs lack the
-  /// backward spans).
+  /// Op groups (op names, in graph order) the executor launches as ONE
+  /// fused kernel (Sec. IV-A) -- exactly these, and only when fused
+  /// kernels are enabled. Liveness treats each group as a single
+  /// operator spanning its op-index range, so a kernel's inputs can never
+  /// share bytes with its outputs -- the kernel reads and writes them
+  /// concurrently, and per-op liveness would otherwise let first-fit
+  /// recycle an input mid-kernel. A span none of whose ops is in the
+  /// graph is ignored (forward-only graphs lack the backward spans); a
+  /// partially present span is rejected.
   std::vector<std::vector<std::string>> fused_spans;
 };
 
@@ -103,6 +105,11 @@ class MemoryPlan {
     return groups_;
   }
 
+  /// The options this plan was planned with: its fused spans are the
+  /// schedule the executor launches, and its pre-flight verifies the plan
+  /// against them.
+  [[nodiscard]] const PlanOptions& options() const { return options_; }
+
   /// Slab bytes required to run the whole graph with this plan.
   [[nodiscard]] std::size_t PeakBytes() const { return peak_bytes_; }
   /// What separate allocation of every planned container would cost
@@ -114,9 +121,10 @@ class MemoryPlan {
 
   [[nodiscard]] std::string Summary() const;
 
-  /// Assembles a plan directly from placements, bypassing the planner.
-  /// Exists so tests can hand the verifier deliberately-corrupted plans;
-  /// never use it to construct a plan meant to execute.
+  /// Assembles a plan directly from placements, bypassing the planner
+  /// (default options). Exists so tests can hand the verifier
+  /// deliberately-corrupted plans; never use it to construct a plan meant
+  /// to execute.
   static MemoryPlan FromPlacements(
       std::map<std::string, TensorPlacement> placements,
       std::size_t peak_bytes, std::size_t naive_bytes);
@@ -126,6 +134,7 @@ class MemoryPlan {
 
   std::map<std::string, TensorPlacement> placements_;
   std::vector<PlanGroup> groups_;
+  PlanOptions options_;
   std::size_t peak_bytes_ = 0;
   std::size_t naive_bytes_ = 0;
 };

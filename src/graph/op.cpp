@@ -21,7 +21,6 @@ OpClass ClassOf(OpKind kind) {
     case OpKind::kReLU:
     case OpKind::kDropout:
     case OpKind::kResidual:
-    case OpKind::kScale:
     case OpKind::kEmbed:
     case OpKind::kReLUDX:
     case OpKind::kDropoutDX:
@@ -48,7 +47,6 @@ bool IsBackwardOp(OpKind kind) {
     case OpKind::kReLU:
     case OpKind::kDropout:
     case OpKind::kResidual:
-    case OpKind::kScale:
     case OpKind::kScaledSoftmax:
     case OpKind::kLayerNorm:
     case OpKind::kEmbed:
@@ -89,7 +87,6 @@ std::string ToString(OpKind kind) {
     case OpKind::kReLU: return "relu";
     case OpKind::kDropout: return "dropout";
     case OpKind::kResidual: return "residual";
-    case OpKind::kScale: return "scale";
     case OpKind::kScaledSoftmax: return "scaled softmax";
     case OpKind::kLayerNorm: return "layernorm";
     case OpKind::kEmbed: return "embedding";
@@ -114,7 +111,6 @@ double FlopPerElement(OpKind kind) {
     case OpKind::kBias:
     case OpKind::kDropout:
     case OpKind::kResidual:
-    case OpKind::kScale:
     case OpKind::kEmbed:      // one table add per output element
     case OpKind::kBiasDW:
     case OpKind::kDropoutDX:

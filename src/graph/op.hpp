@@ -18,7 +18,6 @@ enum class OpKind {
   kReLU,           // y = max(x, 0)
   kDropout,        // y = x * mask * 1/(1-p); also emits the mask
   kResidual,       // y = a + b
-  kScale,          // y = alpha * x
   kScaledSoftmax,  // softmax(alpha * x) over the key dim + attention dropout
   kLayerNorm,      // per-(b,j) normalization over the embedding dim
   kEmbed,          // x[i,b,j] = token_table[ids[b,j], i] + pos_table[j, i]
@@ -37,9 +36,10 @@ enum class OpKind {
 /// Class of each kind (border style of the node in the paper's figures).
 OpClass ClassOf(OpKind kind);
 
-/// True for gradient-computing kinds. The first backward-kind op splits a
-/// training-step graph into the forward and backward regions (the loss op
-/// is a forward op: it runs at the end of Forward and emits d_y).
+/// True for gradient-computing kinds. The first backward-kind op (or
+/// recompute clone) splits a training-step graph into the forward and
+/// backward regions, DataflowGraph::BackwardBegin (the loss op is a
+/// forward op: it runs at the end of Forward and emits d_y).
 bool IsBackwardOp(OpKind kind);
 
 /// Display names, e.g. "tensor contraction".
@@ -51,7 +51,7 @@ std::string ClassGlyph(OpClass cls);
 
 /// flop per *output-driving* element for non-contraction operators, i.e. the
 /// constants behind Table III's "required Gflop" column:
-///   bias/dropout/residual/scale: 1, relu: 0, softmax fwd: 6 (scale, max,
+///   bias/dropout/residual: 1, relu: 0, softmax fwd: 6 (scale, max,
 ///   sub, exp, sum, div), softmax bwd: 5, layernorm fwd: 7, dX: 9, dW: 4.
 double FlopPerElement(OpKind kind);
 

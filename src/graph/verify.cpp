@@ -11,7 +11,6 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "fusion/fuser.hpp"
 #include "tensor/einsum.hpp"
 
 namespace xflow::graph {
@@ -30,16 +29,6 @@ void Error(IssueList& issues, std::string rule, std::string op,
 /// Spec letter -> bound extent, accumulated across operands.
 using DimMap = std::map<char, std::int64_t>;
 
-/// "phbj[8,3,2,10]" -- the shape form every diagnostic here quotes.
-std::string ShapeStr(const Shape& s) {
-  std::string out = s.names() + "[";
-  for (int d = 0; d < s.rank(); ++d) {
-    if (d > 0) out += ",";
-    out += std::to_string(s.dims()[static_cast<std::size_t>(d)].extent);
-  }
-  return out + "]";
-}
-
 /// Stacked operand resolution (the algebraic Q/K/V stacks, Sec. IV-D):
 /// members must share rank and trailing extents; the effective operand is
 /// member[0] with the leading extent summed. Member dim names beyond the
@@ -55,7 +44,7 @@ std::optional<Shape> StackShapes(const std::vector<const Shape*>& members,
   for (const Shape* m : members) {
     if (m->rank() != first.rank()) {
       *why = StrFormat("stacked members %s and %s differ in rank",
-                       ShapeStr(first).c_str(), ShapeStr(*m).c_str());
+                       ToString(first).c_str(), ToString(*m).c_str());
       return std::nullopt;
     }
     for (int d = 1; d < first.rank(); ++d) {
@@ -63,7 +52,7 @@ std::optional<Shape> StackShapes(const std::vector<const Shape*>& members,
       if (m->dims()[dd].extent != first.dims()[dd].extent) {
         *why = StrFormat("stacked members %s and %s differ beyond the "
                          "stack dim",
-                         ShapeStr(first).c_str(), ShapeStr(*m).c_str());
+                         ToString(first).c_str(), ToString(*m).c_str());
         return std::nullopt;
       }
     }
@@ -83,7 +72,7 @@ bool BindExtents(const Shape& shape, const std::string& letters, DimMap& ext,
                  std::string* why) {
   if (static_cast<std::size_t>(shape.rank()) != letters.size()) {
     *why = StrFormat("%s does not match spec dims '%s'",
-                     ShapeStr(shape).c_str(), letters.c_str());
+                     ToString(shape).c_str(), letters.c_str());
     return false;
   }
   std::string sorted_names = shape.names();
@@ -172,8 +161,7 @@ bool CheckArity(const OpNode& op, int op_index, IssueList& issues,
              "(x0, x1, x2, b) -> (y0, y1, y2)");
       break;
     case OpKind::kReLU:
-    case OpKind::kScale:
-      expect(in == 1 && out == 1, "element-wise map wants x -> y");
+      expect(in == 1 && out == 1, "relu wants x -> y");
       break;
     case OpKind::kDropout:
       expect(in == 1 && out == 2, "dropout wants x -> (y, mask)");
@@ -333,8 +321,8 @@ void CheckOpShapes(const DataflowGraph& g, const OpNode& op,
     if (!SameDims(shape_of(a), shape_of(b))) {
       Error(issues, rule, op.name, b,
             StrFormat("'%s' is %s but '%s' is %s -- same space required",
-                      a.c_str(), ShapeStr(shape_of(a)).c_str(), b.c_str(),
-                      ShapeStr(shape_of(b)).c_str()));
+                      a.c_str(), ToString(shape_of(a)).c_str(), b.c_str(),
+                      ToString(shape_of(b)).c_str()));
     }
   };
   // Every (name, extent) of `vec` must appear in `base` (broadcast /
@@ -347,8 +335,8 @@ void CheckOpShapes(const DataflowGraph& g, const OpNode& op,
       if (it == base_dims.end() || it->second != d.extent) {
         Error(issues, rule, op.name, vec,
               StrFormat("'%s' %s does not broadcast over %s", vec.c_str(),
-                        ShapeStr(shape_of(vec)).c_str(),
-                        ShapeStr(base).c_str()));
+                        ToString(shape_of(vec)).c_str(),
+                        ToString(base).c_str()));
         return;
       }
     }
@@ -380,8 +368,8 @@ void CheckOpShapes(const DataflowGraph& g, const OpNode& op,
     if (ToDimMap(shape_of(stat)) != reduced_dims(x, r)) {
       Error(issues, "shape/norm", op.name, stat,
             StrFormat("statistic '%s' is %s, expected %s reduced over '%c'",
-                      stat.c_str(), ShapeStr(shape_of(stat)).c_str(),
-                      ShapeStr(x).c_str(), r));
+                      stat.c_str(), ToString(shape_of(stat)).c_str(),
+                      ToString(x).c_str(), r));
     }
   };
   auto expect_norm_vector = [&](const Shape& x, char r,
@@ -391,7 +379,7 @@ void CheckOpShapes(const DataflowGraph& g, const OpNode& op,
         v.dims().front().extent != x.extent(r)) {
       Error(issues, "shape/norm", op.name, vec,
             StrFormat("'%s' is %s, expected the norm-dim vector %c[%lld]",
-                      vec.c_str(), ShapeStr(v).c_str(), r,
+                      vec.c_str(), ToString(v).c_str(), r,
                       static_cast<long long>(x.has(r) ? x.extent(r) : -1)));
     }
   };
@@ -399,7 +387,7 @@ void CheckOpShapes(const DataflowGraph& g, const OpNode& op,
     if (!x.has(r)) {
       Error(issues, "shape/norm", op.name, op.inputs.front(),
             StrFormat("reduction dim '%c' is not a dim of %s", r,
-                      ShapeStr(x).c_str()));
+                      ToString(x).c_str()));
       return false;
     }
     return true;
@@ -426,7 +414,6 @@ void CheckOpShapes(const DataflowGraph& g, const OpNode& op,
       return;
     }
     case OpKind::kReLU:
-    case OpKind::kScale:
       expect_same("shape/elementwise", op.inputs[0], op.outputs[0]);
       return;
     case OpKind::kDropout:
@@ -515,7 +502,7 @@ void CheckOpShapes(const DataflowGraph& g, const OpNode& op,
         Error(issues, "shape/elementwise", op.name, op.inputs[0],
               StrFormat("token table %s does not share the embedding dim "
                         "'i' of %s",
-                        ShapeStr(tok).c_str(), ShapeStr(x).c_str()));
+                        ToString(tok).c_str(), ToString(x).c_str()));
       }
       return;
     }
@@ -528,7 +515,7 @@ void CheckOpShapes(const DataflowGraph& g, const OpNode& op,
         Error(issues, "shape/elementwise", op.name, op.outputs[0],
               StrFormat("token-table gradient %s does not share the "
                         "embedding dim 'i' of %s",
-                        ShapeStr(tok).c_str(), ShapeStr(dx).c_str()));
+                        ToString(tok).c_str(), ToString(dx).c_str()));
       }
       return;
     }
@@ -538,7 +525,7 @@ void CheckOpShapes(const DataflowGraph& g, const OpNode& op,
       if (shape_of(op.outputs[0]).num_elements() != 1) {
         Error(issues, "shape/elementwise", op.name, op.outputs[0],
               StrFormat("scalar loss must hold one element, not %s",
-                        ShapeStr(shape_of(op.outputs[0])).c_str()));
+                        ToString(shape_of(op.outputs[0])).c_str()));
       }
       return;
     }
@@ -629,67 +616,9 @@ bool HasGraphErrors(const IssueList& issues) {
   return false;
 }
 
-std::string JoinSpan(const std::vector<std::string>& names) {
-  return Join(names, "' + '");
-}
-
-void CheckFusedSpanLint(const DataflowGraph& g, const PlanOptions& options,
-                        IssueList& issues) {
-  auto present_count = [&](const std::vector<std::string>& span) {
-    std::size_t present = 0;
-    for (const auto& name : span) {
-      for (const auto& op : g.ops()) {
-        if (op.name == name) {
-          ++present;
-          break;
-        }
-      }
-    }
-    return present;
-  };
-  std::vector<std::vector<std::string>> declared;
-  for (const auto& span : options.fused_spans) {
-    const std::size_t present = present_count(span);
-    if (present == 0) continue;  // forward-only graphs lack backward spans
-    if (present != span.size()) {
-      Error(issues, "determinism/fused-spans", JoinSpan(span), "",
-            "fused span is only partially present in the graph");
-      continue;
-    }
-    declared.push_back(span);
-  }
-  const auto fused = fusion::FuseMaximally(g);
-  std::vector<std::vector<std::string>> launched;
-  for (const auto& kernel : fused.kernels) {
-    if (!kernel.LaunchesAsOneKernel()) continue;
-    std::vector<std::string> names;
-    names.reserve(kernel.op_indices.size());
-    for (int idx : kernel.op_indices) {
-      names.push_back(g.ops()[static_cast<std::size_t>(idx)].name);
-    }
-    if (std::find(declared.begin(), declared.end(), names) ==
-        declared.end()) {
-      Error(issues, "determinism/fused-spans", JoinSpan(names), "",
-            StrFormat("fuser launches these ops as one %s kernel but the "
-                      "plan declares no matching fused span -- their "
-                      "liveness was planned per-op",
-                      kernel.name.c_str()));
-    }
-    launched.push_back(std::move(names));
-  }
-  for (const auto& span : declared) {
-    if (std::find(launched.begin(), launched.end(), span) ==
-        launched.end()) {
-      Error(issues, "determinism/fused-spans", JoinSpan(span), "",
-            "declared fused span does not match any multi-op kernel the "
-            "fuser produces");
-    }
-  }
-}
-
 void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
-               const PlanOptions* opt, IssueList& issues) {
-  const std::size_t alignment = opt != nullptr ? opt->alignment : 64;
+               const PlanOptions& opt, IssueList& issues) {
+  const std::size_t alignment = opt.alignment;
   if (alignment == 0) {
     Error(issues, "plan/alignment", "", "", "options alignment is zero");
     return;
@@ -701,32 +630,26 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
   for (std::size_t i = 0; i < op_span.size(); ++i) {
     op_span[i] = {static_cast<int>(i), static_cast<int>(i)};
   }
-  if (opt != nullptr) {
-    for (const auto& span : opt->fused_spans) {
-      int lo = last_op + 1;
-      int hi = -1;
-      std::vector<int> members;
-      for (const auto& op_name : span) {
-        for (std::size_t i = 0; i < g.ops().size(); ++i) {
-          if (g.ops()[i].name == op_name) {
-            members.push_back(static_cast<int>(i));
-            lo = std::min(lo, static_cast<int>(i));
-            hi = std::max(hi, static_cast<int>(i));
-          }
-        }
-      }
-      for (int i : members) op_span[static_cast<std::size_t>(i)] = {lo, hi};
+  // Each fused span's ops, by index (absent ops dropped: PlanMemory
+  // rejects partially present spans, and absent ones cover nothing).
+  std::vector<std::vector<int>> spans;
+  for (const auto& span : opt.fused_spans) {
+    std::vector<int> members;
+    for (const auto& op_name : span) {
+      if (const int i = g.OpIndex(op_name); i >= 0) members.push_back(i);
     }
+    if (members.empty()) continue;
+    const auto [lo, hi] = std::minmax_element(members.begin(), members.end());
+    for (int i : members) op_span[static_cast<std::size_t>(i)] = {*lo, *hi};
+    spans.push_back(std::move(members));
   }
   auto kept = [&](const std::string& name) {
-    return opt != nullptr &&
-           std::find(opt->keep_live.begin(), opt->keep_live.end(), name) !=
-               opt->keep_live.end();
+    return std::find(opt.keep_live.begin(), opt.keep_live.end(), name) !=
+           opt.keep_live.end();
   };
   auto excluded = [&](const std::string& name) {
-    return opt != nullptr &&
-           std::find(opt->exclude.begin(), opt->exclude.end(), name) !=
-               opt->exclude.end();
+    return std::find(opt.exclude.begin(), opt.exclude.end(), name) !=
+           opt.exclude.end();
   };
   // `expanded` mirrors the planner (fused spans widen intervals); the
   // plain form is per-op concurrency, which is what the overlap rule
@@ -771,79 +694,43 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
     std::string name;
     const TensorPlacement* alias = nullptr;
     std::vector<const TensorPlacement*> members;
-    bool ordered = false;  // members must tile the alias in declared order
   };
   std::vector<VUnit> units;
   std::set<std::string> used;
-  if (opt != nullptr) {
-    for (const auto& group : opt->groups) {
-      std::size_t present = 0;
-      for (const auto& m : group.members) present += g.HasTensor(m);
-      if (present == 0) continue;
-      if (present != group.members.size()) {
-        Error(issues, "plan/group", "", group.name,
-              "plan group is only partially present in the graph");
+  for (const auto& group : opt.groups) {
+    std::size_t present = 0;
+    for (const auto& m : group.members) present += g.HasTensor(m);
+    if (present == 0) continue;
+    if (present != group.members.size()) {
+      Error(issues, "plan/group", "", group.name,
+            "plan group is only partially present in the graph");
+      continue;
+    }
+    VUnit u;
+    u.name = group.name;
+    if (plan.Contains(group.name)) {
+      u.alias = &plan.at(group.name);
+      used.insert(group.name);
+    } else if (group.members.size() > 1) {
+      Error(issues, "plan/coverage", "", group.name,
+            "plan is missing the group's spanning alias");
+    }
+    for (const auto& m : group.members) {
+      if (!plan.Contains(m)) {
+        Error(issues, "plan/coverage", "", m,
+              "group member is missing from the plan");
         continue;
       }
-      VUnit u;
-      u.name = group.name;
-      u.ordered = true;
-      if (plan.Contains(group.name)) {
-        u.alias = &plan.at(group.name);
-        used.insert(group.name);
-      } else if (group.members.size() > 1) {
-        Error(issues, "plan/coverage", "", group.name,
-              "plan is missing the group's spanning alias");
-      }
-      for (const auto& m : group.members) {
-        if (!plan.Contains(m)) {
-          Error(issues, "plan/coverage", "", m,
-                "group member is missing from the plan");
-          continue;
-        }
-        u.members.push_back(&plan.at(m));
-        used.insert(m);
-      }
-      if (!u.members.empty()) units.push_back(std::move(u));
+      u.members.push_back(&plan.at(m));
+      used.insert(m);
     }
-  } else {
-    // Without options, group aliases are the planned names the graph does
-    // not declare; members are the graph containers whose byte range the
-    // alias contains *and* whose recorded interval overlaps it (byte
-    // reuse across disjoint lifetimes is legal, not membership).
-    for (const auto& [name, p] : plan.placements()) {
-      if (g.HasTensor(name)) continue;
-      VUnit u;
-      u.name = name;
-      u.alias = &p;
-      for (const auto& [mname, mp] : plan.placements()) {
-        if (!g.HasTensor(mname)) continue;
-        const bool contained = mp.offset >= p.offset &&
-                               mp.offset + mp.bytes <= p.offset + p.bytes;
-        const bool live_overlap = mp.first_use <= p.last_use &&
-                                  p.first_use <= mp.last_use;
-        if (contained && live_overlap) {
-          u.members.push_back(&mp);
-          used.insert(mname);
-        }
-      }
-      if (u.members.size() >= 2) {
-        used.insert(name);
-        units.push_back(std::move(u));
-      } else {
-        Error(issues, "plan/coverage", "", name,
-              "plan contains a container the graph does not declare (and "
-              "it spans no member containers)");
-      }
-    }
+    if (!u.members.empty()) units.push_back(std::move(u));
   }
   for (const auto& [name, p] : plan.placements()) {
     if (used.contains(name)) continue;
     if (!g.HasTensor(name)) {
-      if (opt != nullptr) {
-        Error(issues, "plan/coverage", "", name,
-              "plan contains a container the graph does not declare");
-      }
+      Error(issues, "plan/coverage", "", name,
+            "plan contains a container the graph does not declare");
       continue;
     }
     VUnit u;
@@ -867,18 +754,16 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
     if (ToDimMap(p.shape) != ToDimMap(t.shape)) {
       Error(issues, "plan/size", "", name,
             StrFormat("planned shape %s differs from the declared %s",
-                      ShapeStr(p.shape).c_str(),
-                      ShapeStr(t.shape).c_str()));
+                      ToString(p.shape).c_str(),
+                      ToString(t.shape).c_str()));
       continue;
     }
-    if (opt != nullptr) {
-      const std::size_t expected =
-          opt->elem_bytes ? opt->elem_bytes(t) : opt->default_elem_bytes;
-      if (p.elem_bytes != expected) {
-        Error(issues, "plan/size", "", name,
-              StrFormat("element size %zu, but the options say %zu",
-                        p.elem_bytes, expected));
-      }
+    const std::size_t expected =
+        opt.elem_bytes ? opt.elem_bytes(t) : opt.default_elem_bytes;
+    if (p.elem_bytes != expected) {
+      Error(issues, "plan/size", "", name,
+            StrFormat("element size %zu, but the options say %zu",
+                      p.elem_bytes, expected));
     }
     const auto elements = static_cast<std::size_t>(t.shape.num_elements());
     if (p.elem_bytes == 0 || p.bytes != elements * p.elem_bytes) {
@@ -901,13 +786,7 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
   // op (or recompute clone) reads -- are what whole-stack planning must
   // keep distinct across layers; byte sharing that involves one is
   // reported as plan/cross-layer-liveness instead of plain plan/overlap.
-  int bwd_begin = static_cast<int>(g.ops().size());
-  for (std::size_t i = 0; i < g.ops().size(); ++i) {
-    if (IsBackwardOp(g.ops()[i].kind) || !g.ops()[i].recompute_of.empty()) {
-      bwd_begin = static_cast<int>(i);
-      break;
-    }
-  }
+  const int bwd_begin = g.BackwardBegin();
   auto saved_activation = [&](const std::string& name) {
     const int producer = g.ProducerOf(name);
     if (producer < 0 || producer >= bwd_begin) return false;
@@ -944,16 +823,9 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
               "alias element size differs from its members");
       }
       // Zero-copy consistency: the members must tile the alias range
-      // exactly and contiguously (in declared order when known).
-      std::vector<const TensorPlacement*> tiled = u.members;
-      if (!u.ordered) {
-        std::sort(tiled.begin(), tiled.end(),
-                  [](const TensorPlacement* a, const TensorPlacement* b) {
-                    return a->offset < b->offset;
-                  });
-      }
+      // exactly and contiguously, in declared order.
       std::size_t off = u.alias->offset;
-      for (const TensorPlacement* m : tiled) {
+      for (const TensorPlacement* m : u.members) {
         if (m->offset != off) {
           Error(issues, "plan/group", "", m->name,
                 StrFormat("member starts at %zu; the zero-copy stack "
@@ -983,18 +855,10 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
       plain_last = std::max(plain_last, pl);
     }
     const bool comp_pinned = comp_first < 0;
-    if (opt != nullptr) {
-      if (rep->first_use != comp_first || rep->last_use != comp_last) {
-        Error(issues, "plan/liveness", "", u.name,
-              StrFormat("recorded interval [%d, %d] but the graph implies "
-                        "[%d, %d]",
-                        rep->first_use, rep->last_use, comp_first,
-                        comp_last));
-      }
-    } else if (rep->first_use > comp_first || rep->last_use < comp_last) {
+    if (rep->first_use != comp_first || rep->last_use != comp_last) {
       Error(issues, "plan/liveness", "", u.name,
-            StrFormat("recorded interval [%d, %d] does not cover the "
-                      "graph-implied [%d, %d]",
+            StrFormat("recorded interval [%d, %d] but the graph implies "
+                      "[%d, %d]",
                       rep->first_use, rep->last_use, comp_first, comp_last));
     }
     if (rep->pinned != comp_pinned) {
@@ -1015,13 +879,11 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
     extents.push_back({u.name, rep->offset, rep->offset + rep->bytes,
                        plain_first, plain_last, saved});
   }
-  if (opt != nullptr) {
-    for (const auto& [name, t] : g.tensors()) {
-      if (t.is_weight || excluded(name)) continue;
-      if (!plan.Contains(name)) {
-        Error(issues, "plan/coverage", "", name,
-              "live container is missing from the plan");
-      }
+  for (const auto& [name, t] : g.tensors()) {
+    if (t.is_weight || excluded(name)) continue;
+    if (!plan.Contains(name)) {
+      Error(issues, "plan/coverage", "", name,
+            "live container is missing from the plan");
     }
   }
   for (std::size_t i = 0; i < extents.size(); ++i) {
@@ -1053,8 +915,8 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
   // interval disjointness is a data race waiting to happen. For every
   // pair of byte-sharing containers, every access to one must be ordered
   // against every *write* to the other by actual graph edges (reads on
-  // both sides are harmless). Independent of opt on purpose: the rule
-  // re-derives accessors and reachability from the graph alone.
+  // both sides are harmless). Independent of the options on purpose: the
+  // rule re-derives accessors and reachability from the graph alone.
   {
     // Successor closure per op (own bit set). Ops are in topological
     // order here -- rule graph/topo-order gates all plan checks.
@@ -1144,36 +1006,33 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
   }
   // ---- Fused-kernel atomicity: inside one fused launch every input is
   // read while the outputs are written, so their bytes must be disjoint.
-  if (opt != nullptr) {
-    for (const auto& span : opt->fused_spans) {
-      std::set<std::string> ins, outs;
-      for (const auto& op_name : span) {
-        for (const auto& op : g.ops()) {
-          if (op.name != op_name) continue;
-          for (const auto& in : op.inputs) {
-            if (plan.Contains(in) && g.HasTensor(in)) ins.insert(in);
-          }
-          for (const auto& out : op.outputs) {
-            if (plan.Contains(out) && g.HasTensor(out)) outs.insert(out);
-          }
-        }
+  for (const std::vector<int>& span : spans) {
+    std::set<std::string> ins, outs;
+    std::vector<std::string> names;
+    for (const int i : span) {
+      const OpNode& op = g.ops()[static_cast<std::size_t>(i)];
+      names.push_back(op.name);
+      for (const auto& in : op.inputs) {
+        if (plan.Contains(in) && g.HasTensor(in)) ins.insert(in);
       }
-      for (const auto& out : outs) {
-        const TensorPlacement& po = plan.at(out);
-        for (const auto& in : ins) {
-          if (in == out) continue;
-          const TensorPlacement& pi = plan.at(in);
-          if (po.offset < pi.offset + pi.bytes &&
-              pi.offset < po.offset + po.bytes) {
-            Error(issues, "plan/fused-atomic", JoinSpan(span), out,
-                  StrFormat("fused-kernel output shares bytes with span "
-                            "input '%s'",
-                            in.c_str()));
-          }
+      for (const auto& out : op.outputs) {
+        if (plan.Contains(out) && g.HasTensor(out)) outs.insert(out);
+      }
+    }
+    for (const auto& out : outs) {
+      const TensorPlacement& po = plan.at(out);
+      for (const auto& in : ins) {
+        if (in == out) continue;
+        const TensorPlacement& pi = plan.at(in);
+        if (po.offset < pi.offset + pi.bytes &&
+            pi.offset < po.offset + po.bytes) {
+          Error(issues, "plan/fused-atomic", Join(names, "' + '"), out,
+                StrFormat("fused-kernel output shares bytes with span "
+                          "input '%s'",
+                          in.c_str()));
         }
       }
     }
-    CheckFusedSpanLint(g, *opt, issues);
   }
 }
 
@@ -1235,19 +1094,11 @@ VerifyReport Verify(const DataflowGraph& graph) {
   return report;
 }
 
-VerifyReport Verify(const DataflowGraph& graph, const MemoryPlan& plan) {
-  VerifyReport report = Verify(graph);
-  if (!HasGraphErrors(report.issues)) {
-    CheckPlan(graph, plan, nullptr, report.issues);
-  }
-  return report;
-}
-
 VerifyReport Verify(const DataflowGraph& graph, const MemoryPlan& plan,
                     const PlanOptions& options) {
   VerifyReport report = Verify(graph);
   if (!HasGraphErrors(report.issues)) {
-    CheckPlan(graph, plan, &options, report.issues);
+    CheckPlan(graph, plan, options, report.issues);
   }
   return report;
 }

@@ -38,8 +38,8 @@
 //                           write to the other -- the task scheduler runs
 //                           path-free ops concurrently, so interval
 //                           disjointness alone no longer licenses reuse
-//   plan/liveness           recorded intervals match (or contain, without
-//                           options) the intervals recomputed from edges
+//   plan/liveness           recorded intervals match the intervals
+//                           recomputed from edges and fused spans
 //   plan/pinned             recorded pinned flags == "is a graph input"
 //   plan/group              group aliases tiled exactly by their members,
 //                           contiguously and in order (zero-copy stacks)
@@ -48,11 +48,14 @@
 //   plan/peak               every placement fits under peak_bytes
 //   determinism/reduction   reduction-bearing ops use the fixed-split
 //                           deterministic kernel set
-//   determinism/fused-spans recognized fuser groups == declared
-//                           fused_spans (the schedule the plan assumed)
 //
-// The executor adds binding/* rules (completeness and writability of
-// external containers) in its pre-flight, reusing VerifyIssue/VerifyReport.
+// That the executor launches exactly the fused spans the plan assumed
+// holds by construction: it launches the plan's own spans
+// (MemoryPlan::options()), so no rule compares two schedules.
+//
+// The executor's pre-flight runs Verify(graph, plan, plan.options()) and
+// adds binding/* rules (completeness and writability of external
+// containers), reusing VerifyIssue/VerifyReport.
 #pragma once
 
 #include <string>
@@ -100,16 +103,10 @@ std::string OpRef(const DataflowGraph& graph, int op_index);
 /// lint (rules graph/*, shape/*, determinism/reduction).
 VerifyReport Verify(const DataflowGraph& graph);
 
-/// Graph rules plus plan safety against recomputed liveness. Without
-/// PlanOptions the verifier cannot know the exclusion list or fused
-/// spans, so recorded intervals must *contain* the recomputed ones and
-/// coverage is only checked for extras; alignment is assumed 64.
-/// Plan rules are skipped when the graph itself has errors.
-VerifyReport Verify(const DataflowGraph& graph, const MemoryPlan& plan);
-
-/// Full cross-check against the exact planning inputs: interval equality
-/// (fused spans included), group order, element sizes, exclusions, and
-/// the determinism/fused-spans lint over the fused schedule.
+/// Graph rules plus plan safety, cross-checked against the exact
+/// planning inputs (normally plan.options()): interval equality (fused
+/// spans included), group order, element sizes, exclusions and
+/// alignment. Plan rules are skipped when the graph itself has errors.
 VerifyReport Verify(const DataflowGraph& graph, const MemoryPlan& plan,
                     const PlanOptions& options);
 

@@ -104,18 +104,11 @@ void EmbeddingBackwardKernel(const Tensor<T>& d_x,
 template <typename T>
 double MseLossKernel(const Tensor<T>& y, const Tensor<T>& target,
                      Tensor<T>& d_y) {
-  auto str = [](const Shape& s) {
-    std::string out = s.names() + "[";
-    for (const auto& d : s.dims()) {
-      if (out.back() != '[') out += ',';
-      out += std::to_string(d.extent);
-    }
-    return out + "]";
-  };
   auto require_y_shape = [&](const char* what, const Shape& s) {
     if (s == y.shape()) return;
-    require(false, StrFormat("MSE loss %s %s does not have y's shape %s",
-                             what, str(s).c_str(), str(y.shape()).c_str()));
+    require(false,
+            StrFormat("MSE loss %s %s does not have y's shape %s", what,
+                      ToString(s).c_str(), ToString(y.shape()).c_str()));
   };
   require_y_shape("target", target.shape());
   require_y_shape("d_y", d_y.shape());

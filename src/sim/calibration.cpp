@@ -34,7 +34,6 @@ double FrameworkBandwidthFrac(graph::OpKind kind) {
     case OpKind::kReLU: return 0.67;
     case OpKind::kDropout: return 0.85;
     case OpKind::kResidual: return 0.78;
-    case OpKind::kScale: return 0.80;
     case OpKind::kScaledSoftmax: return 0.66;
     case OpKind::kLayerNorm: return 0.30;
     case OpKind::kBiasDW: return 0.45;

@@ -86,6 +86,15 @@ Shape Shape::Permuted(std::string_view new_order) const {
   return Shape(std::move(dims));
 }
 
+std::string ToString(const Shape& shape) {
+  std::string out = shape.names() + "[";
+  for (const auto& d : shape.dims()) {
+    if (out.back() != '[') out += ',';
+    out += std::to_string(d.extent);
+  }
+  return out + "]";
+}
+
 std::vector<std::string> AllPermutations(std::string names) {
   std::sort(names.begin(), names.end());
   std::vector<std::string> out;

@@ -53,6 +53,10 @@ class Shape {
   std::vector<DimExt> dims_;
 };
 
+/// "ibj[8,2,6]": dim names in memory order, then their extents -- the
+/// form every shape-quoting diagnostic uses.
+std::string ToString(const Shape& shape);
+
 /// All permutations of a dimension-name string (the layout search space).
 std::vector<std::string> AllPermutations(std::string names);
 

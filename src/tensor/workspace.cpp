@@ -12,10 +12,9 @@ namespace xflow {
 Workspace::~Workspace() { Release(); }
 
 Workspace::Workspace(Workspace&& other) noexcept
-    : slab_(other.slab_), capacity_(other.capacity_), cursor_(other.cursor_) {
+    : slab_(other.slab_), capacity_(other.capacity_) {
   other.slab_ = nullptr;
   other.capacity_ = 0;
-  other.cursor_ = 0;
 }
 
 Workspace& Workspace::operator=(Workspace&& other) noexcept {
@@ -23,10 +22,8 @@ Workspace& Workspace::operator=(Workspace&& other) noexcept {
     Release();
     slab_ = other.slab_;
     capacity_ = other.capacity_;
-    cursor_ = other.cursor_;
     other.slab_ = nullptr;
     other.capacity_ = 0;
-    other.cursor_ = 0;
   }
   return *this;
 }
@@ -35,17 +32,14 @@ void Workspace::Release() {
   FreeBuffer(slab_, capacity_);
   slab_ = nullptr;
   capacity_ = 0;
-  cursor_ = 0;
 }
 
 void Workspace::Reserve(std::size_t bytes) {
   bytes = AlignUp(bytes);
   if (bytes <= capacity_) return;
-  const std::size_t cursor = cursor_;
   Release();
   slab_ = static_cast<std::byte*>(AllocateBuffer(bytes));
   capacity_ = bytes;
-  cursor_ = cursor;
   memstats::RecordWorkspaceAlloc(static_cast<std::int64_t>(bytes));
   // Zero with a parallel first touch: page placement follows the threads
   // that will later run the kernels, and planned-vs-owning comparisons

@@ -1,14 +1,8 @@
 // A reusable arena for activation memory: one aligned slab backing
 // non-owning Tensor views at fixed (planner-chosen) offsets.
-//
-// Two usage styles:
-//   * plan-driven (the transformer layers): Reserve(plan.PeakBytes())
-//     once, then vend ViewAt(offset, shape) views at the offsets a
-//     liveness plan assigned -- the slab never moves, so views stay valid
-//     and steady-state steps perform zero allocations;
-//   * bump mode (scratch / tests): Acquire(shape) hands out aligned views
-//     in order and Reset() rewinds. Growth replaces the slab and stales
-//     every outstanding view, so treat growth as a warmup-only event.
+// Reserve(plan.PeakBytes()) once, then vend ViewAt(offset, shape) views at
+// the offsets a liveness plan assigned -- the slab never moves, so views
+// stay valid and steady-state steps perform zero allocations.
 //
 // Slab allocations report to memstats (the planner's instrumentation
 // hook) and are zeroed with a parallel first touch so pages are faulted
@@ -24,7 +18,7 @@ namespace xflow {
 
 class Workspace {
  public:
-  /// Offset granularity of Acquire and the usual plan alignment.
+  /// Slab size granularity, and the usual plan alignment.
   static constexpr std::size_t kAlignment = 64;
 
   Workspace() = default;
@@ -55,27 +49,7 @@ class Workspace {
                                reinterpret_cast<T*>(slab_ + offset_bytes));
   }
 
-  /// Bump-allocates an aligned view (no liveness reuse). Grows the slab
-  /// when out of space, staling earlier views -- Reserve enough up front
-  /// when that matters.
-  template <typename T>
-  [[nodiscard]] Tensor<T> Acquire(Shape shape) {
-    const std::size_t bytes =
-        static_cast<std::size_t>(shape.num_elements()) * sizeof(T);
-    const std::size_t offset = AlignUp(cursor_);
-    if (offset + bytes > capacity_) {
-      Reserve(std::max(offset + bytes, 2 * capacity_));
-    }
-    cursor_ = offset + bytes;
-    return Tensor<T>::FromSpan(std::move(shape),
-                               reinterpret_cast<T*>(slab_ + offset));
-  }
-
-  /// Rewinds the bump cursor; ViewAt placements are unaffected.
-  void Reset() { cursor_ = 0; }
-
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t used() const { return cursor_; }
   [[nodiscard]] std::byte* data() { return slab_; }
 
   static constexpr std::size_t AlignUp(std::size_t v) {
@@ -87,7 +61,6 @@ class Workspace {
 
   std::byte* slab_ = nullptr;
   std::size_t capacity_ = 0;
-  std::size_t cursor_ = 0;
 };
 
 }  // namespace xflow

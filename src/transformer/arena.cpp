@@ -49,15 +49,16 @@ graph::PlanOptions StackPlanOptions(const graph::DataflowGraph& graph) {
     options.exclude.push_back("d_y");
   }
   if (graph.HasTensor("target")) options.exclude.push_back("target");
-  // Derive the fused spans from the fusion pass itself instead of a
-  // hand-maintained list: every recognized multi-op kernel the executor
-  // will launch (determinism/fused-spans requires declared == launched)
-  // reads its span's inputs while writing its outputs, so the planner must
-  // not recycle one into the other. This covers the cross-layer EBSB merge
-  // and the checkpoint-clone chains automatically.
+  // The fused spans come from the fusion pass itself instead of a
+  // hand-maintained list: every group it forms that fusion::LaunchOf
+  // recognizes. They are the schedule -- the executor launches exactly
+  // these spans -- and each kernel reads its span's inputs while writing
+  // its outputs, so the planner must not recycle one into the other. This
+  // covers the cross-layer EBSB merge and the checkpoint-clone chains
+  // automatically.
   const fusion::FusionResult fused = fusion::FuseMaximally(graph);
   for (const fusion::FusedKernel& kernel : fused.kernels) {
-    if (!kernel.LaunchesAsOneKernel()) continue;
+    if (kernel.launch == fusion::FusedLaunch::kNone) continue;
     std::vector<std::string> span;
     span.reserve(kernel.op_indices.size());
     for (const int idx : kernel.op_indices) {

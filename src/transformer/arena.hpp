@@ -30,7 +30,9 @@ namespace xflow::transformer {
 /// [dQ~ dK~ dV~] gradient stack read/write one contiguous tensor; and the
 /// fused spans are derived from the fusion pass itself so every
 /// recognized multi-op kernel -- cross-layer EBSB merges and
-/// checkpoint-clone chains included -- is planned as one atomic span.
+/// checkpoint-clone chains included -- is planned as one atomic span and
+/// launched as one kernel. The only call of fusion::FuseMaximally on the
+/// planned execution path.
 template <typename T>
 graph::PlanOptions StackPlanOptions(const graph::DataflowGraph& graph);
 

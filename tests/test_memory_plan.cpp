@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "common/half.hpp"
 #include "graph/analysis.hpp"
 #include "graph/builder.hpp"
@@ -142,6 +143,25 @@ TEST(MemoryPlan, FusedKernelInputsNeverAliasOutputs) {
         }
       }
     }
+  }
+}
+
+TEST(MemoryPlan, RejectsPartiallyPresentFusedSpanByName) {
+  // A span whose ops are all absent is skipped (forward-only graphs lack
+  // the backward spans); one that is only partly there is a caller bug.
+  const auto g = BuildEncoder(ModelDims::Tiny(), AlgebraicFusion::kQKV, true);
+  auto opts = HalfOptions(g);
+  opts.fused_spans.push_back({"no such op", "nor this one"});
+  EXPECT_NO_THROW((void)PlanMemory(g, opts));
+  opts.fused_spans[0] = {"output bias", "attn dropout", "no such op"};
+  try {
+    (void)PlanMemory(g, opts);
+    ADD_FAILURE() << "a partially present span was planned";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "'output bias' + 'attn dropout' + 'no such op'"),
+              std::string::npos)
+        << e.what();
   }
 }
 

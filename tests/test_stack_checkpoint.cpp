@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -202,6 +203,48 @@ TEST_F(CheckpointTest, RejectsCorruptFilesByName) {
       }
     }
   }
+}
+
+TEST_F(CheckpointTest, EverySingleBitFlipLoadsOrFailsByName) {
+  // Any one flipped bit of a valid file -- magic, version, count, name,
+  // rank, dim names, extents or payload -- must either load or throw
+  // InvalidArgument; never crash, over-read or throw anything else.
+  auto a = TensorH::Random(Shape("ij", {3, 4}), 9);
+  auto b = TensorH::Random(Shape("jk", {3, 3}), 10);
+  SaveCheckpoint(path_, {{"a", &a}, {"b", &b}});
+  std::string bytes;
+  {
+    std::ifstream is(path_, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  ASSERT_EQ(bytes.size(), 108u);
+  int loaded = 0;
+  int rejected = 0;
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    {
+      std::ofstream os(path_, std::ios::binary | std::ios::trunc);
+      os.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
+    }
+    TensorH a2(a.shape()), b2(b.shape());
+    for (const auto& read : std::vector<std::function<void()>>{
+             [&] { InspectCheckpoint(path_); },
+             [&] { LoadCheckpoint(path_, {{"a", &a2}, {"b", &b2}}); }}) {
+      try {
+        read();
+        ++loaded;
+      } catch (const InvalidArgument&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "bit " << bit << ": not an InvalidArgument: "
+                      << e.what();
+      }
+    }
+  }
+  EXPECT_EQ(loaded + rejected, 2 * 8 * static_cast<int>(bytes.size()));
+  EXPECT_GT(loaded, 0);    // payload flips are legal values
+  EXPECT_GT(rejected, 0);  // header flips are not
 }
 
 TEST_F(CheckpointTest, InspectListsContents) {

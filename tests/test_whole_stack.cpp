@@ -367,8 +367,8 @@ TEST(WholeStack, EmbeddingAndLossHeadsMatchReference) {
 
 TEST(WholeStack, PlanVerifiesCleanWithOptions) {
   // Every produced plan -- plain, explicitly checkpointed, and budgeted --
-  // passes the full three-argument verifier (the executor pre-flight runs
-  // the two-argument form; this is the strict cross-check).
+  // passes the verifier against its own options, as in the executor's
+  // pre-flight.
   const EncoderConfig cfg = TestConfig(/*fused=*/true);
   for (const std::size_t budget :
        {std::size_t{0}, std::size_t{1}}) {  // 1 byte: maximal checkpointing
@@ -392,6 +392,7 @@ TEST(WholeStack, PlanVerifiesCleanWithOptions) {
       const auto plan_options = StackPlanOptions<Half>(ckpt.graph);
       EXPECT_TRUE(graph::Verify(ckpt.graph, ckpt.plan, plan_options).ok())
           << graph::Verify(ckpt.graph, ckpt.plan, plan_options).Summary();
+      EXPECT_EQ(ckpt.plan.options().fused_spans, plan_options.fused_spans);
     }
   }
 }

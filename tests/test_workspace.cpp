@@ -35,27 +35,12 @@ TEST(Workspace, ReserveZeroesAndViewsAreBoundsChecked) {
                InvalidArgument);  // misaligned for float
 }
 
-TEST(Workspace, AcquireBumpsAlignedAndResetRewinds) {
-  Workspace ws(4096);
-  auto a = ws.Acquire<Half>(Shape("x", {3}));  // 6 bytes
-  auto b = ws.Acquire<float>(Shape("x", {4}));
-  const auto* base = reinterpret_cast<std::byte*>(a.data());
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(base) % Workspace::kAlignment,
-            0u);
-  // b starts at the next aligned offset, not at byte 6.
-  EXPECT_EQ(reinterpret_cast<std::byte*>(b.data()) - base,
-            static_cast<std::ptrdiff_t>(Workspace::kAlignment));
-  ws.Reset();
-  auto c = ws.Acquire<Half>(Shape("x", {3}));
-  EXPECT_EQ(reinterpret_cast<std::byte*>(c.data()), base);
-}
-
 TEST(Workspace, GrowthIsRecordedByTheAllocationHook) {
   const auto before = memstats::Read();
   Workspace ws(128);
   auto mid = memstats::Read();
   EXPECT_EQ(mid.workspace_allocs - before.workspace_allocs, 1);
-  (void)ws.Acquire<float>(Shape("x", {1024}));  // forces growth
+  ws.Reserve(4096);  // forces growth
   const auto after = memstats::Read();
   EXPECT_EQ(after.workspace_allocs - mid.workspace_allocs, 1);
   EXPECT_GE(after.workspace_bytes - mid.workspace_bytes, 4096);
