@@ -1,15 +1,19 @@
-// Quickstart: build a BERT encoder layer, run forward + backward on the
-// CPU substrate, and ask the device model what the same schedule costs on
-// a V100 -- the three public API layers of this library in ~80 lines.
+// Quickstart: plan a BERT encoder layer's training step as one dataflow
+// graph, run its forward + backward through the graph executor on the CPU
+// substrate (the paper's fused kernels over one liveness-planned slab),
+// and ask the device model what the same schedule costs on a V100 -- the
+// three public API layers of this library in ~90 lines.
 //
 //   ./quickstart [--threads=N]   (or XFLOW_THREADS=N ./quickstart)
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "baselines/plans.hpp"
 #include "common/cli.hpp"
 #include "common/threadpool.hpp"
-#include "transformer/encoder.hpp"
+#include "transformer/arena.hpp"
+#include "transformer/stack.hpp"
 #include "transformer/training.hpp"
 
 int main(int argc, char** argv) {
@@ -40,23 +44,25 @@ int main(int argc, char** argv) {
   cfg.dropout_prob = 0.1f;
   cfg.use_fused_kernels = true;  // the paper's fused kernels
 
-  transformer::EncoderLayer layer(
-      cfg, transformer::EncoderParams::Init(dims, /*seed=*/42));
+  // A one-layer stack; its single graph, plan and slab live in the arena.
+  const transformer::EncoderStack stack(cfg, /*num_layers=*/1,
+                                        /*seed=*/42);
+  auto arena = transformer::MakeStackArena<Half>(cfg, {.num_layers = 1});
+  stack.Executor(arena);  // build the executor outside the timed step
 
   // 2. Forward + backward on synthetic data (fp16 storage, fp32 math).
   auto x = TensorH::Random(Shape("ibj", {dims.i, dims.b, dims.j}), 7);
-  transformer::EncoderActivations acts;
 
   const auto t0 = Clock::now();
-  layer.Forward(x, acts);
+  const TensorH& y = stack.Forward(x, arena);  // an arena view
   const auto t1 = Clock::now();
 
-  auto target = TensorH::Random(acts.y.shape(), 9);
-  TensorH d_y(acts.y.shape());
-  const double loss = transformer::MseLoss(acts.y, target, d_y);
+  auto target = TensorH::Random(y.shape(), 9);
+  TensorH d_y(y.shape());
+  const double loss = transformer::MseLoss(y, target, d_y);
 
-  transformer::EncoderGradients grads;
-  layer.Backward(d_y, acts, grads);
+  std::vector<transformer::EncoderGradients> grads;
+  const TensorH& d_x = stack.Backward(d_y, arena, grads);
   const auto t2 = Clock::now();
 
   const auto us = [](auto a, auto b) {
@@ -72,8 +78,8 @@ int main(int argc, char** argv) {
   std::printf("loss vs random target: %.4f\n", loss);
   std::printf("d_x norm check: |d_x| max = %.4f\n", [&] {
     float m = 0;
-    for (std::int64_t i = 0; i < grads.d_x.size(); ++i) {
-      m = std::max(m, std::abs(float(grads.d_x.data()[i])));
+    for (std::int64_t i = 0; i < d_x.size(); ++i) {
+      m = std::max(m, std::abs(float(d_x.data()[i])));
     }
     return m;
   }());

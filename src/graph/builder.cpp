@@ -129,8 +129,8 @@ DataflowGraph BuildMha(const ModelDims& d, bool include_backward) {
   g.AddTensor("d_wk", Shape("phi", {d.p, d.h, d.i}), true);
   g.AddTensor("d_wv", Shape("whi", {d.p, d.h, d.i}), true);
 
-  // ---- Backward operators, in MhaLayerT::Backward's execution order so
-  // the first-fit plan's liveness matches the runtime exactly.
+  // ---- Backward operators: output projection, gamma, softmax, QKT, then
+  // the input projections' bias, dX and dW.
   AddMapOp(g, "bias out dW", OpKind::kBiasDW, {"d_out"}, {"d_bo"},
            "attn_out", "bj");
   AddContraction(g, "out dX", "whi,ibj->whbj", "wo", "d_out", {"d_gamma"});

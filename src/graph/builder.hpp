@@ -59,11 +59,12 @@ struct ModelDims {
 enum class AlgebraicFusion { kNone, kQK, kQKV };
 
 /// Multi-head attention graph with distinct query/key/value inputs
-/// (general attention), matching the paper's Fig. 1. With
-/// `include_backward` the backpropagation operators are appended in the
-/// order MhaLayerT::Backward executes them, so the memory planner covers
-/// the whole step (saved activations live exactly until the backward op
-/// that consumes them instead of being pinned for the step).
+/// (general attention), matching the paper's Fig. 1 -- the graph
+/// MhaLayerT plans and executes. With `include_backward` the
+/// backpropagation operators are appended after the forward ones, so the
+/// memory planner covers the whole step (saved activations live exactly
+/// until the backward op that consumes them instead of being pinned for
+/// the step).
 DataflowGraph BuildMha(const ModelDims& dims, bool include_backward);
 
 /// The forward-only Fig. 1 graph (the figure's own scope).

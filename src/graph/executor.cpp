@@ -328,9 +328,14 @@ void GraphExecutorT<T>::Bind(const std::string& name, const Tensor<T>& tensor,
   // bound writable (enforced at dispatch through the writable_ flag).
   bound_.insert_or_assign(
       name, Tensor<T>::FromSpan(got, const_cast<T*>(tensor.data())));
-  writable_[name] = writable;
-  forward_preflight_pending_ = true;
-  backward_preflight_pending_ = true;
+  // The pre-flight's verdict depends on which containers are bound and
+  // how, not on the bytes: rebinding a name in its role keeps it.
+  const auto [role, added] = writable_.try_emplace(name, writable);
+  if (added || role->second != writable) {
+    role->second = writable;
+    forward_preflight_pending_ = true;
+    backward_preflight_pending_ = true;
+  }
 }
 
 template <typename T>
@@ -436,19 +441,25 @@ void GraphExecutorT<T>::MaybeVerify(int begin_op, int end_op, bool* pending) {
                        std::make_move_iterator(bindings.issues.end()));
   require(report.ok(), StrFormat("graph executor pre-flight failed: %s",
                                  report.Summary().c_str()));
-  *pending = false;  // clean until the next rebind
+  *pending = false;  // clean until a bind adds or re-roles a container
 }
 
 template <typename T>
 void GraphExecutorT<T>::Forward() {
   MaybeVerify(0, backward_begin_, &forward_preflight_pending_);
+  forward_done_ = false;  // a failed run leaves partial activations
   RunRange(0, backward_begin_step_);
+  forward_done_ = true;
 }
 
 template <typename T>
 void GraphExecutorT<T>::Backward() {
+  require(forward_done_,
+          "Backward() needs a completed Forward() since construction or the "
+          "last Backward(): backward reuses the saved activations' bytes");
   MaybeVerify(backward_begin_, static_cast<int>(graph_.ops().size()),
               &backward_preflight_pending_);
+  forward_done_ = false;
   RunRange(backward_begin_step_, static_cast<int>(steps_.size()));
 }
 

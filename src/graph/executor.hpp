@@ -23,12 +23,12 @@
 //
 // With `use_fused_kernels` the schedule is the plan's own: each of
 // plan->options().fused_spans (DRLN/BDRLN, BRD, BLNRD, BDRB, EBSB, as
-// fusion::LaunchOf recognizes them) dispatches as one fused launch -- the
-// same launches the owning reference layer (transformer/encoder.hpp)
-// performs -- and every other op alone, so the executor runs exactly the
-// kernels whose liveness the plan laid out. Without fused kernels every
-// op runs alone. Either way results are bitwise identical to the owning
-// reference at every thread count.
+// fusion::LaunchOf recognizes them) dispatches as one fused launch and
+// every other op alone, so the executor runs exactly the kernels whose
+// liveness the plan laid out. Without fused kernels every op runs alone.
+// Either way results are bitwise identical, at every thread count, to the
+// owning encoder layer (transformer/encoder.hpp), whose per-operator
+// pipeline is the independent reference.
 // Steady-state Run calls perform zero tensor or workspace allocations: all
 // views are non-owning aliases.
 //
@@ -114,7 +114,10 @@ class GraphExecutorT {
 
   /// Executes the forward ops: [0, backward_begin).
   void Forward();
-  /// Executes the backward ops: [backward_begin, num_ops).
+  /// Executes the backward ops: [backward_begin, num_ops). Each Backward
+  /// consumes one completed Forward: the plan recycles saved activations'
+  /// bytes during backward, so without a Forward since construction or
+  /// the last Backward it throws InvalidArgument instead of reading them.
   void Backward();
 
   /// Binding completeness as verifier diagnostics (rules binding/unbound,
@@ -161,8 +164,9 @@ class GraphExecutorT {
   /// has the container's dims and extents.
   void Bind(const std::string& name, const Tensor<T>& tensor, bool writable);
   void BuildStepDeps();
-  /// Pre-flight: when PreflightVerifyEnabled() and a bind happened since
-  /// the last successful check of this pass, re-verify (graph, plan)
+  /// Pre-flight: when PreflightVerifyEnabled() and a container was newly
+  /// bound or changed role (read-only vs writable) since the last
+  /// successful check of this pass, re-verify (graph, plan)
   /// against plan->options() plus the bindings the ops in [begin_op,
   /// end_op) touch, and throw InvalidArgument on any error.
   void MaybeVerify(int begin_op, int end_op, bool* pending);
@@ -226,9 +230,12 @@ class GraphExecutorT {
   int backward_begin_ = 0;       // op index
   int backward_begin_step_ = 0;  // step index
   // Re-verify before the next Forward/Backward (set on construction and
-  // on every rebind, cleared per pass on a clean pre-flight).
+  // whenever a bind adds a container or changes its role, cleared per pass
+  // on a clean pre-flight).
   bool forward_preflight_pending_ = true;
   bool backward_preflight_pending_ = true;
+  // A Forward completed and no Backward has run since (Backward's guard).
+  bool forward_done_ = false;
 };
 
 using GraphExecutor = GraphExecutorT<Half>;

@@ -5,7 +5,6 @@
 
 #include "common/rng.hpp"
 #include "ops/elementwise.hpp"
-#include "ops/fused.hpp"
 #include "ops/layernorm.hpp"
 #include "ops/softmax.hpp"
 #include "tensor/einsum.hpp"
@@ -15,7 +14,7 @@ namespace xflow::transformer {
 namespace {
 
 /// Dropout sites get decorrelated Philox streams derived from the layer
-/// seed. Identical across fused/unfused execution by construction.
+/// seed; the planned executor draws the same streams (EncoderDropoutSeeds).
 enum DropoutSite : std::uint64_t {
   kAttnSoftmax = 0,
   kAttnOutput = 1,
@@ -169,14 +168,9 @@ const Tensor<T>& EncoderLayerT<T>::Forward(const Tensor<T>& x,
   slot(acts.qq_b, phbj);
   Tensor<T> kk_b(phbj);
   Tensor<T> vv_b(phbj);
-  if (config_.use_fused_kernels) {
-    ops::AttnInputBias<T>({&qq, &kk, &vv}, params_.b_qkv, 'p',
-                          {&acts.qq_b, &kk_b, &vv_b});
-  } else {
-    ops::BiasForward(qq, params_.b_qkv.SliceViewDim('p', 0, d.p), acts.qq_b);
-    ops::BiasForward(kk, params_.b_qkv.SliceViewDim('p', d.p, d.p), kk_b);
-    ops::BiasForward(vv, params_.b_qkv.SliceViewDim('p', 2 * d.p, d.p), vv_b);
-  }
+  ops::BiasForward(qq, params_.b_qkv.SliceViewDim('p', 0, d.p), acts.qq_b);
+  ops::BiasForward(kk, params_.b_qkv.SliceViewDim('p', d.p, d.p), kk_b);
+  ops::BiasForward(vv, params_.b_qkv.SliceViewDim('p', 2 * d.p, d.p), vv_b);
   acts.kk_b = kk_b.RenamedDim('j', 'k');
   acts.vv_b = vv_b.RenamedDim('j', 'k').RenamedDim('p', 'w');
 
@@ -210,21 +204,15 @@ const Tensor<T>& EncoderLayerT<T>::Forward(const Tensor<T>& x,
   slot(acts.ln1_out, ibj);
   slot(acts.ln1_mean, bj);
   slot(acts.ln1_rstd, bj);
-  if (config_.use_fused_kernels) {
-    ops::BiasDropoutResidualLayerNorm(
-        attn_out, params_.b_out, x, attn_out_mask, params_.ln1_w,
-        params_.ln1_b, 'i', config_.ln_eps, acts.resid1, acts.attn_drop_mask,
-        acts.ln1_out, acts.ln1_mean, acts.ln1_rstd);
-  } else {
-    Tensor<T> biased(ibj);
-    Tensor<T> dropped(ibj);
-    ops::BiasForward(attn_out, params_.b_out, biased);
-    ops::DropoutForward(biased, attn_out_mask, dropped, acts.attn_drop_mask);
-    ops::ResidualForward(dropped, x, acts.resid1);
-    ops::LayerNormForward(acts.resid1, params_.ln1_w, params_.ln1_b, 'i',
-                          config_.ln_eps, acts.ln1_out, acts.ln1_mean,
-                          acts.ln1_rstd);
-  }
+  Tensor<T> attn_biased(ibj);
+  Tensor<T> attn_dropped(ibj);
+  ops::BiasForward(attn_out, params_.b_out, attn_biased);
+  ops::DropoutForward(attn_biased, attn_out_mask, attn_dropped,
+                      acts.attn_drop_mask);
+  ops::ResidualForward(attn_dropped, x, acts.resid1);
+  ops::LayerNormForward(acts.resid1, params_.ln1_w, params_.ln1_b, 'i',
+                        config_.ln_eps, acts.ln1_out, acts.ln1_mean,
+                        acts.ln1_rstd);
 
   // Feed-forward: linear 1, BRD, linear 2, BDRLN.
   Tensor<T> lin1(ubj);
@@ -232,16 +220,11 @@ const Tensor<T>& EncoderLayerT<T>::Forward(const Tensor<T>& x,
   slot(acts.relu1, ubj);
   slot(acts.ff_dropped, ubj);
   slot(acts.ff_drop_mask, ubj);
-  if (config_.use_fused_kernels) {
-    ops::BiasReluDropout(lin1, params_.b1, ff_mask, acts.relu1,
-                         acts.ff_dropped, acts.ff_drop_mask);
-  } else {
-    Tensor<T> biased(ubj);
-    ops::BiasForward(lin1, params_.b1, biased);
-    ops::ReluForward(biased, acts.relu1);
-    ops::DropoutForward(acts.relu1, ff_mask, acts.ff_dropped,
-                        acts.ff_drop_mask);
-  }
+  Tensor<T> lin1_biased(ubj);
+  ops::BiasForward(lin1, params_.b1, lin1_biased);
+  ops::ReluForward(lin1_biased, acts.relu1);
+  ops::DropoutForward(acts.relu1, ff_mask, acts.ff_dropped,
+                      acts.ff_drop_mask);
 
   Tensor<T> lin2(ibj);
   EinsumInto(S().lin2, params_.w2, acts.ff_dropped, lin2);
@@ -250,21 +233,14 @@ const Tensor<T>& EncoderLayerT<T>::Forward(const Tensor<T>& x,
   slot(acts.y, ibj);
   slot(acts.ln2_mean, bj);
   slot(acts.ln2_rstd, bj);
-  if (config_.use_fused_kernels) {
-    ops::BiasDropoutResidualLayerNorm(
-        lin2, params_.b2, acts.ln1_out, out_mask, params_.ln2_w,
-        params_.ln2_b, 'i', config_.ln_eps, acts.resid2, acts.lin2_drop_mask,
-        acts.y, acts.ln2_mean, acts.ln2_rstd);
-  } else {
-    Tensor<T> biased(ibj);
-    Tensor<T> dropped(ibj);
-    ops::BiasForward(lin2, params_.b2, biased);
-    ops::DropoutForward(biased, out_mask, dropped, acts.lin2_drop_mask);
-    ops::ResidualForward(dropped, acts.ln1_out, acts.resid2);
-    ops::LayerNormForward(acts.resid2, params_.ln2_w, params_.ln2_b, 'i',
-                          config_.ln_eps, acts.y, acts.ln2_mean,
-                          acts.ln2_rstd);
-  }
+  Tensor<T> lin2_biased(ibj);
+  Tensor<T> lin2_dropped(ibj);
+  ops::BiasForward(lin2, params_.b2, lin2_biased);
+  ops::DropoutForward(lin2_biased, out_mask, lin2_dropped,
+                      acts.lin2_drop_mask);
+  ops::ResidualForward(lin2_dropped, acts.ln1_out, acts.resid2);
+  ops::LayerNormForward(acts.resid2, params_.ln2_w, params_.ln2_b, 'i',
+                        config_.ln_eps, acts.y, acts.ln2_mean, acts.ln2_rstd);
   return acts.y;
 }
 
@@ -291,17 +267,10 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
   // BLNRD: layernorm 2 dX + output dropout dX (keeps d_resid2 for EBSB).
   Tensor<T> d_resid2(ibj);
   Tensor<T> d_lin2_biased(ibj);
-  if (config_.use_fused_kernels) {
-    ops::LayerNormDropoutBackward(d_y, params_.ln2_w, acts.resid2,
-                                  acts.ln2_mean, acts.ln2_rstd,
-                                  acts.lin2_drop_mask, 'i', keep_scale_,
-                                  d_resid2, d_lin2_biased);
-  } else {
-    ops::LayerNormBackwardDX(d_y, params_.ln2_w, acts.resid2, acts.ln2_mean,
-                             acts.ln2_rstd, 'i', d_resid2);
-    ops::DropoutBackwardDX(d_resid2, acts.lin2_drop_mask, keep_scale_,
-                           d_lin2_biased);
-  }
+  ops::LayerNormBackwardDX(d_y, params_.ln2_w, acts.resid2, acts.ln2_mean,
+                           acts.ln2_rstd, 'i', d_resid2);
+  ops::DropoutBackwardDX(d_resid2, acts.lin2_drop_mask, keep_scale_,
+                         d_lin2_biased);
 
   // Linear 2 dX / dW.
   Tensor<T> d_ff_dropped(ubj);
@@ -310,18 +279,12 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
 
   // BDRB: bias2 dW + ff dropout dX + relu dX + bias1 dW.
   Tensor<T> d_lin1_biased(ubj);
-  if (config_.use_fused_kernels) {
-    ops::BiasDropoutReluBiasBackward(d_lin2_biased, d_ff_dropped,
-                                     acts.ff_drop_mask, acts.relu1,
-                                     keep_scale_, gp.b2, d_lin1_biased, gp.b1);
-  } else {
-    ops::BiasBackwardDW(d_lin2_biased, gp.b2);
-    Tensor<T> d_relu(ubj);
-    ops::DropoutBackwardDX(d_ff_dropped, acts.ff_drop_mask, keep_scale_,
-                           d_relu);
-    ops::ReluBackwardDX(d_relu, acts.relu1, d_lin1_biased);
-    ops::BiasBackwardDW(d_lin1_biased, gp.b1);
-  }
+  ops::BiasBackwardDW(d_lin2_biased, gp.b2);
+  Tensor<T> d_relu(ubj);
+  ops::DropoutBackwardDX(d_ff_dropped, acts.ff_drop_mask, keep_scale_,
+                         d_relu);
+  ops::ReluBackwardDX(d_relu, acts.relu1, d_lin1_biased);
+  ops::BiasBackwardDW(d_lin1_biased, gp.b1);
 
   // Linear 1 dX / dW.
   Tensor<T> d_ln1_ff(ibj);
@@ -330,30 +293,17 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
 
   // EBSB: residual merge + layernorm 1 dW.
   Tensor<T> d_ln1_out(ibj);
-  if (config_.use_fused_kernels) {
-    ops::ResidualLayerNormDwBackward(d_ln1_ff, d_resid2, acts.resid1,
-                                     acts.ln1_mean, acts.ln1_rstd, 'i',
-                                     d_ln1_out, gp.ln1_w, gp.ln1_b);
-  } else {
-    ops::ResidualForward(d_ln1_ff, d_resid2, d_ln1_out);
-    ops::LayerNormBackwardDW(d_ln1_out, acts.resid1, acts.ln1_mean,
-                             acts.ln1_rstd, 'i', gp.ln1_w, gp.ln1_b);
-  }
+  ops::ResidualForward(d_ln1_ff, d_resid2, d_ln1_out);
+  ops::LayerNormBackwardDW(d_ln1_out, acts.resid1, acts.ln1_mean,
+                           acts.ln1_rstd, 'i', gp.ln1_w, gp.ln1_b);
 
   // BLNRD: layernorm 1 dX + attention dropout dX.
   Tensor<T> d_resid1(ibj);
   Tensor<T> d_attn_biased(ibj);
-  if (config_.use_fused_kernels) {
-    ops::LayerNormDropoutBackward(d_ln1_out, params_.ln1_w, acts.resid1,
-                                  acts.ln1_mean, acts.ln1_rstd,
-                                  acts.attn_drop_mask, 'i', keep_scale_,
-                                  d_resid1, d_attn_biased);
-  } else {
-    ops::LayerNormBackwardDX(d_ln1_out, params_.ln1_w, acts.resid1,
-                             acts.ln1_mean, acts.ln1_rstd, 'i', d_resid1);
-    ops::DropoutBackwardDX(d_resid1, acts.attn_drop_mask, keep_scale_,
-                           d_attn_biased);
-  }
+  ops::LayerNormBackwardDX(d_ln1_out, params_.ln1_w, acts.resid1,
+                           acts.ln1_mean, acts.ln1_rstd, 'i', d_resid1);
+  ops::DropoutBackwardDX(d_resid1, acts.attn_drop_mask, keep_scale_,
+                         d_attn_biased);
 
   // BAOB: output bias dW.
   ops::BiasBackwardDW(d_attn_biased, gp.b_out);
@@ -389,11 +339,7 @@ void EncoderLayerT<T>::Backward(const Tensor<T>& d_y,
   EinsumInto(S().qkv_dw, d_proj, acts.x, gp.w_qkv);
 
   // BAIB: stacked input-bias gradient.
-  if (config_.use_fused_kernels) {
-    ops::AttnInputBiasBackward<T>({&d_qq, &d_kk_j, &d_vv_j}, 'p', gp.b_qkv);
-  } else {
-    ops::BiasBackwardDW(d_proj, gp.b_qkv);
-  }
+  ops::BiasBackwardDW(d_proj, gp.b_qkv);
 
   // BEI: encoder-input residual.
   ops::ResidualForward(d_x_qkv, d_resid1, grads.d_x);

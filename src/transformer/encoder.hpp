@@ -1,8 +1,9 @@
 // BERT encoder layer: numerically complete forward and backward passes on
-// the CPU substrate -- the owning reference that the planned whole-stack
-// executor (transformer/stack.hpp) is checked against. Per-operator
-// kernels (the framework baseline) and our fused kernels produce
-// bit-identical results; fusion changes data movement only.
+// the CPU substrate -- the only hand-wired transformer code, kept as the
+// owning reference the planned executor (transformer/stack.hpp) is checked
+// against. It runs per-operator kernels (the framework baseline) only, so
+// it is independent of the fused kernels the executor launches; the two
+// agree bit for bit because fusion changes data movement only.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,8 @@ struct EncoderConfig {
   float dropout_prob = 0.1f;
   float ln_eps = 1e-5f;
   std::uint64_t seed = 1;        // drives dropout masks
+  /// Selects only the planned executor's schedule: the paper's fused
+  /// kernels or one launch per operator. EncoderLayerT runs per operator.
   bool use_fused_kernels = true;
   /// Causal attention masking: turns the layer into a GPT-2/3 style
   /// decoder block (the paper notes decoders differ only in such minor
@@ -84,8 +87,7 @@ struct EncoderGradientsT {
 };
 
 /// The encoder layer. Forward/Backward follow the Table III operator
-/// sequence exactly; with `use_fused_kernels` the paper's 12 fused kernels
-/// replace the per-operator pipeline.
+/// sequence exactly, one kernel per operator.
 template <typename T>
 class EncoderLayerT {
  public:

@@ -3,40 +3,20 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "ops/elementwise.hpp"
-#include "ops/softmax.hpp"
-#include "tensor/einsum.hpp"
+#include "graph/executor.hpp"
 
 namespace xflow::transformer {
 
 namespace {
 
-/// Contractions parsed once per process; every call site writes into
-/// reused storage via EinsumInto.
-struct MhaSpecs {
-  EinsumSpec q = EinsumSpec::Parse("phi,ibj->phbj");
-  EinsumSpec k = EinsumSpec::Parse("phi,ibk->phbk");
-  EinsumSpec v = EinsumSpec::Parse("whi,ibk->whbk");
-  EinsumSpec qkt = EinsumSpec::Parse("phbk,phbj->hbjk");
-  EinsumSpec gamma = EinsumSpec::Parse("whbk,hbjk->whbj");
-  EinsumSpec out = EinsumSpec::Parse("whi,whbj->ibj");
-  EinsumSpec out_dx = EinsumSpec::Parse("whi,ibj->whbj");
-  EinsumSpec out_dw = EinsumSpec::Parse("ibj,whbj->whi");
-  EinsumSpec gamma_dx1 = EinsumSpec::Parse("whbk,whbj->hbjk");
-  EinsumSpec gamma_dx2 = EinsumSpec::Parse("whbj,hbjk->whbk");
-  EinsumSpec qkt_dx1 = EinsumSpec::Parse("phbj,hbjk->phbk");
-  EinsumSpec qkt_dx2 = EinsumSpec::Parse("hbjk,phbk->phbj");
-  EinsumSpec q_dx = EinsumSpec::Parse("phi,phbj->ibj");
-  EinsumSpec k_dx = EinsumSpec::Parse("phi,phbk->ibk");
-  EinsumSpec v_dx = EinsumSpec::Parse("whi,whbk->ibk");
-  EinsumSpec q_dw = EinsumSpec::Parse("phbj,ibj->phi");
-  EinsumSpec k_dw = EinsumSpec::Parse("phbk,ibk->phi");
-  EinsumSpec v_dw = EinsumSpec::Parse("whbk,ibk->whi");
-};
-
-const MhaSpecs& S() {
-  static const MhaSpecs specs;
-  return specs;
+/// The inputs and the input gradients are the caller's tensors, bound by
+/// reference like the weights; everything else lives in the slab.
+template <typename T>
+graph::PlanOptions MhaPlanOptions() {
+  graph::PlanOptions options;
+  options.default_elem_bytes = sizeof(T);
+  options.exclude = {"q", "k", "v", "d_out", "d_q", "d_k", "d_v"};
+  return options;
 }
 
 }  // namespace
@@ -72,136 +52,59 @@ std::vector<std::pair<std::string, Tensor<T>*>> MhaParamsT<T>::Named() {
 }
 
 template <typename T>
-void MhaParamsT<T>::EnsureShapes(const graph::ModelDims& d) {
-  wq.EnsureShape(Shape("phi", {d.p, d.h, d.i}));
-  wk.EnsureShape(Shape("phi", {d.p, d.h, d.i}));
-  wv.EnsureShape(Shape("whi", {d.p, d.h, d.i}));
-  wo.EnsureShape(Shape("whi", {d.p, d.h, d.i}));
-  bq.EnsureShape(Shape("ph", {d.p, d.h}));
-  bk.EnsureShape(Shape("ph", {d.p, d.h}));
-  bv.EnsureShape(Shape("wh", {d.p, d.h}));
-  bo.EnsureShape(Shape("i", {d.i}));
-}
-
-template <typename T>
 MhaLayerT<T>::MhaLayerT(MhaConfig config, MhaParamsT<T> params)
     : config_(std::move(config)),
       params_(std::move(params)),
-      keep_scale_(DropoutKeepScale(config_.dropout_prob)) {}
-
-template <typename T>
-const Tensor<T>& MhaLayerT<T>::Forward(const Tensor<T>& q, const Tensor<T>& k,
-                                       const Tensor<T>& v,
-                                       MhaActivationsT<T>& acts) const {
-  const auto& d = config_.dims;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d.p));
+      arena_(graph::BuildMha(config_.dims, /*include_backward=*/true),
+             MhaPlanOptions<T>()) {
+  graph::ExecutorOptions opts;
+  opts.causal = config_.causal;
+  opts.dropout_prob = config_.dropout_prob;
+  opts.attn_scale = 1.0f / std::sqrt(static_cast<float>(config_.dims.p));
   std::uint64_t seed_state = config_.seed;
-  const DropoutMask sm_mask(SplitMix64(seed_state), config_.dropout_prob);
-  const Shape hbjk("hbjk", {d.h, d.b, d.j, d.k});
-  const Shape phbj("phbj", {d.p, d.h, d.b, d.j});
-  const Shape phbk("phbk", {d.p, d.h, d.b, d.k});
-  const Shape whbk("whbk", {d.p, d.h, d.b, d.k});
-  const Shape whbj("whbj", {d.p, d.h, d.b, d.j});
-  const Shape ibj("ibj", {d.i, d.b, d.j});
-
-  // Saved activations are owning buffers that EnsureShape reuses across
-  // steps; the kernels below overwrite them fully.
-  auto slot = [](Tensor<T>& t, const Shape& shape) -> Tensor<T>& {
-    t.EnsureShape(shape);
-    return t;
-  };
-
-  CopyValuesInto(q, slot(acts.q, q.shape()));
-  CopyValuesInto(k, slot(acts.k, k.shape()));
-  CopyValuesInto(v, slot(acts.v, v.shape()));
-
-  // Input projections with bias (Fig. 1: three separate einsums; no
-  // algebraic fusion since the inputs are distinct tensors).
-  Tensor<T> qq(phbj);
-  Tensor<T> kk(phbk);
-  Tensor<T> vv(whbk);
-  EinsumInto(S().q, params_.wq, q, qq);
-  EinsumInto(S().k, params_.wk, k, kk);
-  EinsumInto(S().v, params_.wv, v, vv);
-  slot(acts.qq_b, phbj);
-  slot(acts.kk_b, phbk);
-  slot(acts.vv_b, whbk);
-  ops::BiasForward(qq, params_.bq, acts.qq_b);
-  ops::BiasForward(kk, params_.bk, acts.kk_b);
-  ops::BiasForward(vv, params_.bv, acts.vv_b);
-
-  // Attention scores, scaled softmax (+ optional causal mask) and dropout.
-  Tensor<T> beta(hbjk);
-  EinsumInto(S().qkt, acts.kk_b, acts.qq_b, beta);
-  slot(acts.alpha, hbjk);
-  slot(acts.attn_mask, hbjk);
-  slot(acts.softmax_saved, hbjk);
-  if (config_.causal) {
-    ops::CausalScaledSoftmaxForward(beta, 'k', 'j', scale, sm_mask,
-                                    acts.alpha, acts.attn_mask,
-                                    acts.softmax_saved);
-  } else {
-    ops::ScaledSoftmaxForward(beta, 'k', scale, sm_mask, acts.alpha,
-                              acts.attn_mask, acts.softmax_saved);
-  }
-
-  // Weighted values and output projection.
-  slot(acts.gamma_t, whbj);
-  EinsumInto(S().gamma, acts.vv_b, acts.alpha, acts.gamma_t);
-  Tensor<T> proj(ibj);
-  EinsumInto(S().out, params_.wo, acts.gamma_t, proj);
-  slot(acts.out, ibj);
-  ops::BiasForward(proj, params_.bo, acts.out);
-  return acts.out;
+  opts.dropout_seeds = {SplitMix64(seed_state)};  // the one SM site
+  executor_ = std::make_unique<graph::GraphExecutorT<T>>(
+      arena_.graph(), &arena_.plan(), &arena_.workspace(), std::move(opts));
 }
 
 template <typename T>
-void MhaLayerT<T>::Backward(const Tensor<T>& d_out,
-                            const MhaActivationsT<T>& acts,
-                            MhaGradientsT<T>& grads) const {
-  const auto& d = config_.dims;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d.p));
-  const Shape hbjk("hbjk", {d.h, d.b, d.j, d.k});
-  const Shape ibk("ibk", {d.i, d.b, d.k});
-  auto& gp = grads.params;
-  gp.EnsureShapes(d);  // accumulators; every entry is overwritten below
+MhaLayerT<T>::~MhaLayerT() = default;
 
-  // Output bias and projection.
-  ops::BiasBackwardDW(d_out, gp.bo);
-  Tensor<T> d_gamma(Shape("whbj", {d.p, d.h, d.b, d.j}));
-  EinsumInto(S().out_dx, params_.wo, d_out, d_gamma);
-  EinsumInto(S().out_dw, d_out, acts.gamma_t, gp.wo);
+template <typename T>
+const Tensor<T>& MhaLayerT<T>::Forward(const Tensor<T>& q, const Tensor<T>& k,
+                                       const Tensor<T>& v) {
+  for (auto& [name, tensor] : params_.Named()) {
+    executor_->BindInput(name, *tensor);
+  }
+  executor_->BindInput("q", q);
+  executor_->BindInput("k", k);
+  executor_->BindInput("v", v);
+  executor_->Forward();
+  out_ = View("out");
+  return out_;
+}
 
-  // gamma backward.
-  Tensor<T> d_alpha(hbjk);
-  EinsumInto(S().gamma_dx1, acts.vv_b, d_gamma, d_alpha);
-  Tensor<T> d_vv(Shape("whbk", {d.p, d.h, d.b, d.k}));
-  EinsumInto(S().gamma_dx2, d_gamma, acts.alpha, d_vv);
+template <typename T>
+void MhaLayerT<T>::Backward(const Tensor<T>& d_out, MhaGradientsT<T>& grads) {
+  executor_->BindInput("d_out", d_out);
+  // Gradients take their container's shape, reusing storage already
+  // shaped; the executor overwrites every entry.
+  const auto bind_output = [&](const std::string& name, Tensor<T>& t) {
+    t.EnsureShape(arena_.graph().tensor(name).shape);
+    executor_->BindOutput(name, t);
+  };
+  for (auto& [name, tensor] : grads.params.Named()) {
+    bind_output("d_" + name, *tensor);
+  }
+  bind_output("d_q", grads.d_q);
+  bind_output("d_k", grads.d_k);
+  bind_output("d_v", grads.d_v);
+  executor_->Backward();
+}
 
-  // BS: dropout + softmax + scale.
-  Tensor<T> d_beta(hbjk);
-  ops::ScaledSoftmaxBackwardDX(d_alpha, acts.attn_mask, acts.softmax_saved,
-                               'k', scale, keep_scale_, d_beta);
-
-  // QKT backward.
-  Tensor<T> d_kk(Shape("phbk", {d.p, d.h, d.b, d.k}));
-  EinsumInto(S().qkt_dx1, acts.qq_b, d_beta, d_kk);
-  Tensor<T> d_qq(Shape("phbj", {d.p, d.h, d.b, d.j}));
-  EinsumInto(S().qkt_dx2, d_beta, acts.kk_b, d_qq);
-
-  // Projection biases, weights, and input gradients.
-  ops::BiasBackwardDW(d_qq, gp.bq);
-  ops::BiasBackwardDW(d_kk, gp.bk);
-  ops::BiasBackwardDW(d_vv, gp.bv);
-  grads.d_q.EnsureShape(Shape("ibj", {d.i, d.b, d.j}));
-  grads.d_k.EnsureShape(ibk);
-  grads.d_v.EnsureShape(ibk);
-  EinsumInto(S().q_dx, params_.wq, d_qq, grads.d_q);
-  EinsumInto(S().k_dx, params_.wk, d_kk, grads.d_k);
-  EinsumInto(S().v_dx, params_.wv, d_vv, grads.d_v);
-  EinsumInto(S().q_dw, d_qq, acts.q, gp.wq);
-  EinsumInto(S().k_dw, d_kk, acts.k, gp.wk);
-  EinsumInto(S().v_dw, d_vv, acts.v, gp.wv);
+template <typename T>
+Tensor<T> MhaLayerT<T>::View(const std::string& name) {
+  return arena_.template ViewAs<T>(name, arena_.graph().tensor(name).shape);
 }
 
 template struct MhaParamsT<Half>;

@@ -7,15 +7,25 @@
 //   encoder/decoder attention (k == v),
 //   self-attention          (q == k == v; what EncoderLayer uses inline),
 // plus the optional causal masking step.
+//
+// The layer runs its planned dataflow graph, graph::BuildMha(dims, true),
+// over one liveness-planned slab (StackArenaT) with one graph executor.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/builder.hpp"
 #include "tensor/tensor.hpp"
+#include "transformer/arena.hpp"
+
+namespace xflow::graph {
+template <typename T>
+class GraphExecutorT;  // graph/executor.hpp
+}  // namespace xflow::graph
 
 namespace xflow::transformer {
 
@@ -39,18 +49,6 @@ struct MhaParamsT {
 
   static MhaParamsT Init(const graph::ModelDims& d, std::uint64_t seed);
   std::vector<std::pair<std::string, Tensor<T>*>> Named();
-  /// Gives every tensor its parameter shape without initializing values
-  /// (gradient accumulators; Backward overwrites every entry).
-  void EnsureShapes(const graph::ModelDims& d);
-};
-
-template <typename T>
-struct MhaActivationsT {
-  Tensor<T> q, k, v;  // inputs (saved for dW)
-  Tensor<T> qq_b, kk_b, vv_b;
-  Tensor<T> alpha, attn_mask, softmax_saved;
-  Tensor<T> gamma_t;
-  Tensor<T> out;  // final output [i, b, j]
 };
 
 template <typename T>
@@ -62,16 +60,27 @@ struct MhaGradientsT {
 template <typename T>
 class MhaLayerT {
  public:
+  /// Builds and plans the graph and creates its executor, once; throws
+  /// InvalidArgument for a dropout probability outside [0, 1].
   MhaLayerT(MhaConfig config, MhaParamsT<T> params);
+  ~MhaLayerT();
 
-  /// General attention: q is [i, b, j]; k and v are [i, b, k].
+  /// General attention: q is [i, b, j]; k and v are [i, b, k]. The inputs
+  /// and params() are bound by reference, so they must stay valid and
+  /// unmoved until Backward. Returns the arena's `out` view [i, b, j],
+  /// overwritten by the next Forward.
   const Tensor<T>& Forward(const Tensor<T>& q, const Tensor<T>& k,
-                           const Tensor<T>& v, MhaActivationsT<T>& acts) const;
+                           const Tensor<T>& v);
 
-  /// Backward from d_out [i, b, j]; fills parameter gradients and the
-  /// gradients of all three inputs.
-  void Backward(const Tensor<T>& d_out, const MhaActivationsT<T>& acts,
-                MhaGradientsT<T>& grads) const;
+  /// Backward from d_out [i, b, j]; must follow a Forward (InvalidArgument
+  /// otherwise). Fills parameter gradients and the gradients of all three
+  /// inputs; every one of them stays owning.
+  void Backward(const Tensor<T>& d_out, MhaGradientsT<T>& grads);
+
+  /// Container `name` of the planned graph as an arena view, e.g. the
+  /// saved "softmax_saved" after Forward. Backward recycles the bytes of
+  /// saved activations; copy what must outlive that.
+  [[nodiscard]] Tensor<T> View(const std::string& name);
 
   [[nodiscard]] const MhaConfig& config() const { return config_; }
   [[nodiscard]] MhaParamsT<T>& params() { return params_; }
@@ -79,11 +88,12 @@ class MhaLayerT {
  private:
   MhaConfig config_;
   MhaParamsT<T> params_;
-  float keep_scale_;  // DropoutKeepScale(config_.dropout_prob)
+  StackArenaT<T> arena_;
+  std::unique_ptr<graph::GraphExecutorT<T>> executor_;
+  Tensor<T> out_;  // storage behind the reference Forward returns
 };
 
 using MhaParams = MhaParamsT<Half>;
-using MhaActivations = MhaActivationsT<Half>;
 using MhaGradients = MhaGradientsT<Half>;
 using MhaLayer = MhaLayerT<Half>;
 

@@ -3,7 +3,8 @@
 // to support a full training pipeline by stacking our optimized layers"
 // (Sec. VI-C). The planned path runs the whole stack as one graph over one
 // liveness-planned slab (StackArenaT), which makes a steady-state training
-// step allocation-free; the owning per-layer path is its reference.
+// step allocation-free; the owning per-layer path, EncoderLayerT's
+// per-operator pipeline, is its reference.
 #pragma once
 
 #include <cstddef>
@@ -60,8 +61,9 @@ class EncoderStackT {
   // live in ONE planned graph, so cross-layer transients share bytes and
   // concurrent dispatch overlaps steps *across* layers. After one warmup
   // step every Forward/Backward performs zero tensor allocations. Bitwise
-  // identical to the owning path above at every thread count, fused and
-  // unfused, checkpointed or not.
+  // identical to the owning per-operator path above at every thread count,
+  // whether `use_fused_kernels` launches the fused kernels or not,
+  // checkpointed or not.
 
   /// The cached whole-stack executor bound to `arena` (rebuilt when the
   /// arena or its slab changes). Every layer's weights are pre-bound as
@@ -76,9 +78,10 @@ class EncoderStackT {
   const Tensor<T>& Forward(const Tensor<T>& x, StackArenaT<T>& arena) const;
 
   /// Whole-stack backward from d_y (requires a graph without a loss head,
-  /// so "d_y" is the graph input); must follow a Forward on the same
-  /// arena. Fills one gradient set per layer (weight gradients stay
-  /// owning; each d_x becomes an arena view) and returns layer 0's d_x.
+  /// so "d_y" is the graph input); each call must follow its own Forward
+  /// on the same arena (InvalidArgument otherwise). Fills one gradient set
+  /// per layer (weight gradients stay owning; each d_x becomes an arena
+  /// view) and returns layer 0's d_x.
   const Tensor<T>& Backward(const Tensor<T>& d_y, StackArenaT<T>& arena,
                             std::vector<EncoderGradientsT<T>>& grads) const;
 

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/simd.hpp"
+#include "common/strings.hpp"
 #include "common/threadpool.hpp"
 #include "ops/embedding.hpp"
 
@@ -12,8 +13,17 @@ namespace xflow::transformer {
 
 void MixedPrecisionAdam::Step(const std::string& name, TensorF& master,
                               TensorH& working, const TensorH& grad) {
-  require(master.size() == working.size() && master.size() == grad.size(),
-          "parameter/gradient sizes must match");
+  // Elements pair up by flat index, so one Shape (dims and their order)
+  // is required: a matching count would accept a permuted gradient.
+  if (master.shape() != working.shape() || master.shape() != grad.shape()) {
+    require(false,
+            StrFormat("Adam parameter '%s': master %s, working copy %s and "
+                      "gradient %s must have one shape, dims and order "
+                      "included",
+                      name.c_str(), ToString(master.shape()).c_str(),
+                      ToString(working.shape()).c_str(),
+                      ToString(grad.shape()).c_str()));
+  }
   auto it = state_.find(name);
   if (it == state_.end()) {
     State s;
@@ -22,7 +32,7 @@ void MixedPrecisionAdam::Step(const std::string& name, TensorF& master,
     it = state_.emplace(name, std::move(s)).first;
   }
   State& s = it->second;
-  require(s.m.size() == master.size(), "parameter changed shape");
+  require(s.m.shape() == master.shape(), "parameter changed shape");
   ++s.t;
   const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(s.t));
   const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(s.t));

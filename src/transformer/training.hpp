@@ -25,8 +25,10 @@ class MixedPrecisionAdam {
  public:
   explicit MixedPrecisionAdam(AdamConfig config = {}) : config_(config) {}
 
-  /// One update for one parameter. `master` and `working` must stay the
-  /// same shape across calls with the same name.
+  /// One update for one parameter. `master`, `working` and `grad` must
+  /// have one Shape, dims and order included (InvalidArgument naming the
+  /// parameter and the shapes otherwise), and keep it across calls with
+  /// the same name.
   void Step(const std::string& name, TensorF& master, TensorH& working,
             const TensorH& grad);
 

@@ -9,12 +9,11 @@ namespace {
 
 using graph::ModelDims;
 
-EncoderConfig TinyConfig(bool fused, float dropout = 0.1f) {
+EncoderConfig TinyConfig(float dropout = 0.1f) {
   EncoderConfig c;
   c.dims = ModelDims::Tiny();
   c.dropout_prob = dropout;
   c.seed = 7;
-  c.use_fused_kernels = fused;
   return c;
 }
 
@@ -23,7 +22,7 @@ TensorH TinyInput(const ModelDims& d, std::uint64_t seed) {
 }
 
 TEST(Encoder, ForwardProducesLayerNormalizedOutput) {
-  auto cfg = TinyConfig(true, 0.0f);
+  auto cfg = TinyConfig(0.0f);
   EncoderLayer layer(cfg, EncoderParams::Init(cfg.dims, 3));
   EncoderActivations acts;
   auto x = TinyInput(cfg.dims, 5);
@@ -44,43 +43,8 @@ TEST(Encoder, ForwardProducesLayerNormalizedOutput) {
   }
 }
 
-TEST(Encoder, FusedAndUnfusedForwardAreBitIdentical) {
-  auto params = EncoderParams::Init(ModelDims::Tiny(), 11);
-  EncoderLayer fused(TinyConfig(true), params);
-  EncoderLayer unfused(TinyConfig(false), params);
-  auto x = TinyInput(ModelDims::Tiny(), 13);
-  EncoderActivations a_f, a_u;
-  fused.Forward(x, a_f);
-  unfused.Forward(x, a_u);
-  EXPECT_EQ(MaxAbsDiff(a_f.y, a_u.y), 0.0);
-  EXPECT_EQ(MaxAbsDiff(a_f.resid1, a_u.resid1), 0.0);
-  EXPECT_EQ(MaxAbsDiff(a_f.ff_dropped, a_u.ff_dropped), 0.0);
-  EXPECT_EQ(MaxAbsDiff(a_f.alpha, a_u.alpha), 0.0);
-}
-
-TEST(Encoder, FusedAndUnfusedBackwardAreBitIdentical) {
-  auto params = EncoderParams::Init(ModelDims::Tiny(), 17);
-  EncoderLayer fused(TinyConfig(true), params);
-  EncoderLayer unfused(TinyConfig(false), params);
-  auto x = TinyInput(ModelDims::Tiny(), 19);
-  EncoderActivations a_f, a_u;
-  fused.Forward(x, a_f);
-  unfused.Forward(x, a_u);
-  auto d_y = TensorH::Random(a_f.y.shape(), 23);
-  EncoderGradients g_f, g_u;
-  fused.Backward(d_y, a_f, g_f);
-  unfused.Backward(d_y, a_u, g_u);
-  EXPECT_EQ(MaxAbsDiff(g_f.d_x, g_u.d_x), 0.0);
-  EXPECT_EQ(MaxAbsDiff(g_f.params.w_qkv, g_u.params.w_qkv), 0.0);
-  EXPECT_EQ(MaxAbsDiff(g_f.params.b_qkv, g_u.params.b_qkv), 0.0);
-  EXPECT_EQ(MaxAbsDiff(g_f.params.w1, g_u.params.w1), 0.0);
-  EXPECT_EQ(MaxAbsDiff(g_f.params.b2, g_u.params.b2), 0.0);
-  EXPECT_EQ(MaxAbsDiff(g_f.params.ln1_w, g_u.params.ln1_w), 0.0);
-  EXPECT_EQ(MaxAbsDiff(g_f.params.ln2_b, g_u.params.ln2_b), 0.0);
-}
-
 TEST(Encoder, DropoutZeroMeansDeterministicIdentityMasks) {
-  auto cfg = TinyConfig(true, 0.0f);
+  auto cfg = TinyConfig(0.0f);
   EncoderLayer layer(cfg, EncoderParams::Init(cfg.dims, 29));
   EncoderActivations acts;
   layer.Forward(TinyInput(cfg.dims, 31), acts);
@@ -91,8 +55,8 @@ TEST(Encoder, DropoutZeroMeansDeterministicIdentityMasks) {
 
 TEST(Encoder, DifferentSeedsChangeDropout) {
   auto params = EncoderParams::Init(ModelDims::Tiny(), 37);
-  auto cfg_a = TinyConfig(true);
-  auto cfg_b = TinyConfig(true);
+  auto cfg_a = TinyConfig();
+  auto cfg_b = TinyConfig();
   cfg_b.seed = cfg_a.seed + 1;
   EncoderLayer a(cfg_a, params), b(cfg_b, params);
   EncoderActivations aa, ab;
@@ -105,7 +69,7 @@ TEST(Encoder, DifferentSeedsChangeDropout) {
 TEST(Encoder, RepeatedBackwardIntoReusedGradientsIsIdempotent) {
   // Gradient accumulators are reused across steps (EnsureShapes); a kernel
   // that accumulated instead of overwriting would drift on the second run.
-  const auto cfg = TinyConfig(true);
+  const auto cfg = TinyConfig();
   EncoderLayer layer(cfg, EncoderParams::Init(cfg.dims, 23));
   EncoderActivations acts;
   layer.Forward(TinyInput(cfg.dims, 29), acts);
@@ -128,7 +92,6 @@ class EncoderGradCheck : public ::testing::Test {
   EncoderGradCheck() {
     cfg_.dims = ModelDims::Tiny();
     cfg_.dropout_prob = 0.0f;
-    cfg_.use_fused_kernels = true;
     params_ = EncoderParamsT<float>::Init(cfg_.dims, 43);
     x_ = TensorF::Random(Shape("ibj", {cfg_.dims.i, cfg_.dims.b, cfg_.dims.j}),
                          47);

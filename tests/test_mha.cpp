@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "common/error.hpp"
 #include "ops/softmax.hpp"
 #include "test_util.hpp"
 
@@ -19,6 +22,13 @@ MhaConfig TinyMha(bool causal = false, float dropout = 0.0f) {
   return c;
 }
 
+/// Tiny with three more key/value positions than query positions.
+ModelDims LongerKeys() {
+  ModelDims d = ModelDims::Tiny();
+  d.k = d.j + 3;
+  return d;
+}
+
 TensorH SeqInput(const ModelDims& d, char seq_dim, std::uint64_t seed) {
   return TensorH::Random(
       Shape(std::string("ib") + seq_dim,
@@ -26,30 +36,16 @@ TensorH SeqInput(const ModelDims& d, char seq_dim, std::uint64_t seed) {
       seed);
 }
 
-TEST(Mha, GeneralAttentionRuns) {
-  auto cfg = TinyMha();
-  MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 5));
-  MhaActivations acts;
-  const auto& out = layer.Forward(SeqInput(cfg.dims, 'j', 1),
-                                  SeqInput(cfg.dims, 'k', 2),
-                                  SeqInput(cfg.dims, 'k', 3), acts);
-  EXPECT_EQ(out.shape().names(), "ibj");
-  EXPECT_EQ(out.extent('j'), cfg.dims.j);
-}
-
-TEST(Mha, AttentionRowsSumToOne) {
-  auto cfg = TinyMha();
-  MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 7));
-  MhaActivations acts;
-  layer.Forward(SeqInput(cfg.dims, 'j', 1), SeqInput(cfg.dims, 'k', 2),
-                SeqInput(cfg.dims, 'k', 3), acts);
-  for (std::int64_t h = 0; h < cfg.dims.h; ++h) {
-    for (std::int64_t b = 0; b < cfg.dims.b; ++b) {
-      for (std::int64_t j = 0; j < cfg.dims.j; ++j) {
+/// Every attention row of the last Forward sums to one.
+void ExpectRowsSumToOne(MhaLayer& layer) {
+  const auto& d = layer.config().dims;
+  const TensorH saved = layer.View("softmax_saved");
+  for (std::int64_t h = 0; h < d.h; ++h) {
+    for (std::int64_t b = 0; b < d.b; ++b) {
+      for (std::int64_t j = 0; j < d.j; ++j) {
         float sum = 0;
-        for (std::int64_t k = 0; k < cfg.dims.k; ++k) {
-          sum += float(acts.softmax_saved.at(
-              {{'h', h}, {'b', b}, {'j', j}, {'k', k}}));
+        for (std::int64_t k = 0; k < d.k; ++k) {
+          sum += float(saved.at({{'h', h}, {'b', b}, {'j', j}, {'k', k}}));
         }
         EXPECT_NEAR(sum, 1.0f, 0.02f);
       }
@@ -57,19 +53,52 @@ TEST(Mha, AttentionRowsSumToOne) {
   }
 }
 
+TEST(Mha, GeneralAttentionRuns) {
+  auto cfg = TinyMha();
+  MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 5));
+  const auto& out = layer.Forward(SeqInput(cfg.dims, 'j', 1),
+                                  SeqInput(cfg.dims, 'k', 2),
+                                  SeqInput(cfg.dims, 'k', 3));
+  EXPECT_EQ(out.shape().names(), "ibj");
+  EXPECT_EQ(out.extent('j'), cfg.dims.j);
+}
+
+TEST(Mha, AttentionRowsSumToOne) {
+  auto cfg = TinyMha();
+  MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 7));
+  layer.Forward(SeqInput(cfg.dims, 'j', 1), SeqInput(cfg.dims, 'k', 2),
+                SeqInput(cfg.dims, 'k', 3));
+  ExpectRowsSumToOne(layer);
+}
+
+TEST(Mha, KeysLongerThanQueries) {
+  // Every other case has k == j; the planned graph must keep the two
+  // sequence dims apart.
+  auto cfg = TinyMha();
+  cfg.dims = LongerKeys();
+  MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 8));
+  const auto q = SeqInput(cfg.dims, 'j', 1);
+  const auto k = SeqInput(cfg.dims, 'k', 2);
+  const auto v = SeqInput(cfg.dims, 'k', 3);
+  const auto& out = layer.Forward(q, k, v);
+  EXPECT_EQ(out.shape(), Shape("ibj", {cfg.dims.i, cfg.dims.b, cfg.dims.j}));
+  EXPECT_EQ(layer.View("softmax_saved").extent('k'), cfg.dims.k);
+  ExpectRowsSumToOne(layer);
+}
+
 TEST(Mha, CausalMaskZeroesTheFuture) {
   auto cfg = TinyMha(/*causal=*/true);
   MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 9));
-  MhaActivations acts;
   auto x = SeqInput(cfg.dims, 'j', 4);
-  layer.Forward(x, x.RenamedDim('j', 'k'), x.RenamedDim('j', 'k'), acts);
+  layer.Forward(x, x.RenamedDim('j', 'k'), x.RenamedDim('j', 'k'));
+  const TensorH saved = layer.View("softmax_saved");
   for (std::int64_t h = 0; h < cfg.dims.h; ++h) {
     for (std::int64_t b = 0; b < cfg.dims.b; ++b) {
       for (std::int64_t j = 0; j < cfg.dims.j; ++j) {
         float sum = 0;
         for (std::int64_t k = 0; k < cfg.dims.k; ++k) {
-          const float s = float(acts.softmax_saved.at(
-              {{'h', h}, {'b', b}, {'j', j}, {'k', k}}));
+          const float s =
+              float(saved.at({{'h', h}, {'b', b}, {'j', j}, {'k', k}}));
           if (k > j) {
             EXPECT_EQ(s, 0.0f) << "future position attended";
           }
@@ -84,13 +113,12 @@ TEST(Mha, CausalMaskZeroesTheFuture) {
 TEST(Mha, CausalFirstPositionAttendsOnlyItself) {
   auto cfg = TinyMha(true);
   MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 11));
-  MhaActivations acts;
   auto x = SeqInput(cfg.dims, 'j', 5);
-  layer.Forward(x, x.RenamedDim('j', 'k'), x.RenamedDim('j', 'k'), acts);
+  layer.Forward(x, x.RenamedDim('j', 'k'), x.RenamedDim('j', 'k'));
+  const TensorH saved = layer.View("softmax_saved");
   for (std::int64_t h = 0; h < cfg.dims.h; ++h) {
     for (std::int64_t b = 0; b < cfg.dims.b; ++b) {
-      EXPECT_NEAR(float(acts.softmax_saved.at(
-                      {{'h', h}, {'b', b}, {'j', 0}, {'k', 0}})),
+      EXPECT_NEAR(float(saved.at({{'h', h}, {'b', b}, {'j', 0}, {'k', 0}})),
                   1.0f, 1e-3f);
     }
   }
@@ -101,8 +129,10 @@ TEST(Mha, CausalOutputIndependentOfFutureInput) {
   auto cfg = TinyMha(true);
   MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 13));
   auto x = SeqInput(cfg.dims, 'j', 6);
-  MhaActivations a1;
-  layer.Forward(x, x.RenamedDim('j', 'k'), x.RenamedDim('j', 'k'), a1);
+  // Deep copy: the output is an arena view the next Forward overwrites.
+  const TensorH out1 =
+      layer.Forward(x, x.RenamedDim('j', 'k'), x.RenamedDim('j', 'k'))
+          .Cast<Half>();
 
   auto x2 = x;  // perturb the last position only
   for (std::int64_t i = 0; i < cfg.dims.i; ++i) {
@@ -110,53 +140,71 @@ TEST(Mha, CausalOutputIndependentOfFutureInput) {
       x2.at({{'i', i}, {'b', b}, {'j', cfg.dims.j - 1}}) = Half(9.0f);
     }
   }
-  MhaActivations a2;
-  layer.Forward(x2, x2.RenamedDim('j', 'k'), x2.RenamedDim('j', 'k'), a2);
+  const TensorH& out2 =
+      layer.Forward(x2, x2.RenamedDim('j', 'k'), x2.RenamedDim('j', 'k'));
 
   for (std::int64_t i = 0; i < cfg.dims.i; ++i) {
     for (std::int64_t b = 0; b < cfg.dims.b; ++b) {
       for (std::int64_t j = 0; j + 1 < cfg.dims.j; ++j) {
-        EXPECT_EQ(
-            float(a1.out.at({{'i', i}, {'b', b}, {'j', j}})),
-            float(a2.out.at({{'i', i}, {'b', b}, {'j', j}})))
+        EXPECT_EQ(float(out1.at({{'i', i}, {'b', b}, {'j', j}})),
+                  float(out2.at({{'i', i}, {'b', b}, {'j', j}})))
             << "position " << j << " saw the future";
       }
     }
   }
 }
 
-// Gradient checks for the standalone MHA (fp32, no dropout).
+TEST(Mha, SecondBackwardWithoutForwardIsRejected) {
+  // Backward recycles the saved activations' bytes, so each Backward
+  // needs its own Forward; a repeat must fail by name, not return
+  // gradients computed from clobbered activations.
+  auto cfg = TinyMha(/*causal=*/false, /*dropout=*/0.1f);
+  MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 15));
+  const auto q = SeqInput(cfg.dims, 'j', 1);
+  const auto k = SeqInput(cfg.dims, 'k', 2);
+  const auto v = SeqInput(cfg.dims, 'k', 3);
+  const auto d_out = SeqInput(cfg.dims, 'j', 4);
+  MhaGradients grads;
+  EXPECT_THROW(layer.Backward(d_out, grads), InvalidArgument);
+  layer.Forward(q, k, v);
+  layer.Backward(d_out, grads);
+  const TensorH d_q = grads.d_q.Cast<Half>();
+  EXPECT_THROW(layer.Backward(d_out, grads), InvalidArgument);
+  layer.Forward(q, k, v);
+  layer.Backward(d_out, grads);
+  EXPECT_EQ(MaxAbsDiff(grads.d_q, d_q), 0.0);
+}
+
+// Gradient checks for the standalone MHA (fp32, no dropout). One layer
+// serves every evaluation: finite differences perturb the inputs and the
+// parameters the layer binds (layer.params()) in place, so each
+// evaluation is one Forward.
 class MhaGradCheck : public ::testing::Test {
  protected:
-  MhaGradCheck() {
-    cfg_.dims = ModelDims::Tiny();
-    params_ = MhaParamsT<float>::Init(cfg_.dims, 21);
-    q_ = TensorF::Random(
-        Shape("ibj", {cfg_.dims.i, cfg_.dims.b, cfg_.dims.j}), 22);
-    k_ = TensorF::Random(
-        Shape("ibk", {cfg_.dims.i, cfg_.dims.b, cfg_.dims.k}), 23);
-    v_ = TensorF::Random(
-        Shape("ibk", {cfg_.dims.i, cfg_.dims.b, cfg_.dims.k}), 24);
+  MhaGradCheck() { Build(ModelDims::Tiny()); }
+
+  void Build(const ModelDims& dims, bool causal = false) {
+    MhaConfig cfg;
+    cfg.dims = dims;
+    cfg.causal = causal;
+    layer_.emplace(cfg, MhaParamsT<float>::Init(dims, 21));
+    q_ = TensorF::Random(Shape("ibj", {dims.i, dims.b, dims.j}), 22);
+    k_ = TensorF::Random(Shape("ibk", {dims.i, dims.b, dims.k}), 23);
+    v_ = TensorF::Random(Shape("ibk", {dims.i, dims.b, dims.k}), 24);
   }
 
-  double Loss() {
-    MhaLayerT<float> layer(cfg_, params_);
-    MhaActivationsT<float> acts;
-    layer.Forward(q_, k_, v_, acts);
-    return testutil::ProbeLoss(acts.out);
-  }
+  double Loss() { return testutil::ProbeLoss(layer_->Forward(q_, k_, v_)); }
 
   MhaGradientsT<float> Analytic() {
-    MhaLayerT<float> layer(cfg_, params_);
-    MhaActivationsT<float> acts;
-    layer.Forward(q_, k_, v_, acts);
+    const TensorF& out = layer_->Forward(q_, k_, v_);
     MhaGradientsT<float> grads;
-    layer.Backward(testutil::ProbeLossGrad(acts.out.shape()), acts, grads);
+    layer_->Backward(testutil::ProbeLossGrad(out.shape()), grads);
     return grads;
   }
 
-  MhaConfig cfg_;
-  MhaParamsT<float> params_;
+  MhaParamsT<float>& params() { return layer_->params(); }
+
+  std::optional<MhaLayerT<float>> layer_;
   TensorF q_, k_, v_;
 };
 
@@ -173,10 +221,10 @@ TEST_F(MhaGradCheck, InputGradientsMatchFiniteDifferences) {
 TEST_F(MhaGradCheck, WeightGradientsMatchFiniteDifferences) {
   auto grads = Analytic();
   for (auto [name, param, grad] :
-       {std::tuple{"wq", &params_.wq, &grads.params.wq},
-        std::tuple{"wv", &params_.wv, &grads.params.wv},
-        std::tuple{"wo", &params_.wo, &grads.params.wo},
-        std::tuple{"bk", &params_.bk, &grads.params.bk}}) {
+       {std::tuple{"wq", &params().wq, &grads.params.wq},
+        std::tuple{"wv", &params().wv, &grads.params.wv},
+        std::tuple{"wo", &params().wo, &grads.params.wo},
+        std::tuple{"bk", &params().bk, &grads.params.bk}}) {
     auto numeric =
         testutil::NumericalGradient(*param, [&] { return Loss(); }, 5e-3f);
     EXPECT_LT(MaxAbsDiff(*grad, numeric), 5e-3) << name;
@@ -184,13 +232,23 @@ TEST_F(MhaGradCheck, WeightGradientsMatchFiniteDifferences) {
 }
 
 TEST_F(MhaGradCheck, CausalGradientsMatchFiniteDifferences) {
-  cfg_.causal = true;
+  Build(ModelDims::Tiny(), /*causal=*/true);
   auto grads = Analytic();
   auto num_q = testutil::NumericalGradient(q_, [&] { return Loss(); }, 5e-3f);
   EXPECT_LT(MaxAbsDiff(grads.d_q, num_q), 5e-3);
   auto num_wv = testutil::NumericalGradient(
-      params_.wv, [&] { return Loss(); }, 5e-3f);
+      params().wv, [&] { return Loss(); }, 5e-3f);
   EXPECT_LT(MaxAbsDiff(grads.params.wv, num_wv), 5e-3);
+}
+
+TEST_F(MhaGradCheck, LongerKeysGradientsMatchFiniteDifferences) {
+  Build(LongerKeys());
+  auto grads = Analytic();
+  EXPECT_EQ(grads.d_k.extent('k'), LongerKeys().k);
+  auto num_k = testutil::NumericalGradient(k_, [&] { return Loss(); }, 5e-3f);
+  EXPECT_LT(MaxAbsDiff(grads.d_k, num_k), 5e-3);
+  auto num_v = testutil::NumericalGradient(v_, [&] { return Loss(); }, 5e-3f);
+  EXPECT_LT(MaxAbsDiff(grads.d_v, num_v), 5e-3);
 }
 
 TEST(CausalSoftmaxOp, MatchesPlainSoftmaxOnVisiblePrefix) {

@@ -2,11 +2,14 @@
 // across model shapes and seeds.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "baselines/plans.hpp"
 #include "fusion/fuser.hpp"
 #include "graph/analysis.hpp"
 #include "graph/builder.hpp"
-#include "transformer/encoder.hpp"
+#include "transformer/arena.hpp"
+#include "transformer/stack.hpp"
 
 namespace xflow {
 namespace {
@@ -126,6 +129,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ModelMonotonicity,
 
 // ---------------------------------------------------------------------------
 // Encoder numerics across shapes and seeds: fused == unfused everywhere.
+// The fused side is a one-layer stack on the planned executor, which
+// launches the paper's fused kernels; the unfused side is the owning
+// layer's per-operator pipeline.
 
 class EncoderShapeSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
@@ -136,26 +142,24 @@ TEST_P(EncoderShapeSweep, FusedEqualsUnfusedEverywhere) {
   cfg.dims = MakeDims(2, 8, h, p, 2);
   cfg.dropout_prob = 0.15f;
   cfg.seed = static_cast<std::uint64_t>(seed);
-
-  auto params = transformer::EncoderParams::Init(cfg.dims, 100 + seed);
   cfg.use_fused_kernels = true;
-  transformer::EncoderLayer fused(cfg, params);
-  cfg.use_fused_kernels = false;
-  transformer::EncoderLayer unfused(cfg, params);
+  // Layer 0 of the stack takes cfg.seed and EncoderParams::Init(dims,
+  // 100 + seed).
+  const transformer::EncoderStack stack(cfg, 1, 100 + seed);
+  auto arena = transformer::MakeStackArena<Half>(cfg, {.num_layers = 1});
 
   auto x = TensorH::Random(
       Shape("ibj", {cfg.dims.i, cfg.dims.b, cfg.dims.j}), 200 + seed);
-  transformer::EncoderActivations a_f, a_u;
-  fused.Forward(x, a_f);
-  unfused.Forward(x, a_u);
-  EXPECT_EQ(MaxAbsDiff(a_f.y, a_u.y), 0.0);
+  std::vector<transformer::EncoderActivations> acts;
+  const TensorH& y = stack.Forward(x, acts);
+  EXPECT_EQ(MaxAbsDiff(stack.Forward(x, arena), y), 0.0);
 
-  auto d_y = TensorH::Random(a_f.y.shape(), 300 + seed);
-  transformer::EncoderGradients g_f, g_u;
-  fused.Backward(d_y, a_f, g_f);
-  unfused.Backward(d_y, a_u, g_u);
-  EXPECT_EQ(MaxAbsDiff(g_f.d_x, g_u.d_x), 0.0);
-  EXPECT_EQ(MaxAbsDiff(g_f.params.w_qkv, g_u.params.w_qkv), 0.0);
+  auto d_y = TensorH::Random(y.shape(), 300 + seed);
+  std::vector<transformer::EncoderGradients> g_u, g_f;
+  stack.Backward(d_y, acts, g_u);
+  EXPECT_EQ(MaxAbsDiff(stack.Backward(d_y, arena, g_f), g_u[0].d_x), 0.0);
+  EXPECT_EQ(MaxAbsDiff(g_f[0].params.w_qkv, g_u[0].params.w_qkv), 0.0);
+  EXPECT_EQ(MaxAbsDiff(g_f[0].params.b_qkv, g_u[0].params.b_qkv), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -65,6 +65,31 @@ TEST(Adam, WorkingCopyTracksMasterThroughFp16) {
   EXPECT_EQ(float(working.data()[0]), float(Half(master.data()[0])));
 }
 
+TEST(Adam, RejectsAGradientInAnotherDimOrder) {
+  // Step pairs master, working and gradient elements by flat index, so a
+  // ji gradient for an ij weight would update the wrong master elements:
+  // it must fail, naming the parameter and the shapes.
+  const Shape ij("ij", {3, 4});
+  auto master = TensorF::Random(ij, 5);
+  TensorH working = master.Cast<Half>();
+  MixedPrecisionAdam opt;
+  const auto permuted = TensorH::Random(Shape("ji", {4, 3}), 7);
+  try {
+    opt.Step("w", master, working, permuted);
+    ADD_FAILURE() << "a ji[4,3] gradient was applied to an ij[3,4] weight";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'w'"), std::string::npos) << what;
+    EXPECT_NE(what.find("ij[3,4]"), std::string::npos) << what;
+    EXPECT_NE(what.find("ji[4,3]"), std::string::npos) << what;
+  }
+  TensorH relabeled = working;  // same count and order, other dim names
+  relabeled.EnsureShape(Shape("ik", {3, 4}));
+  EXPECT_THROW(opt.Step("w", master, relabeled, TensorH(ij)),
+               InvalidArgument);
+  EXPECT_EQ(opt.steps("w"), 0);
+}
+
 TEST(MseLoss, ZeroAtTargetAndGradientPointsUp) {
   auto y = TensorH::Random(Shape("ib", {4, 4}), 1);
   TensorH d_y(y.shape());
@@ -115,7 +140,6 @@ TEST(Training, EncoderLayerLearnsIdentityTarget) {
   EncoderConfig cfg;
   cfg.dims = graph::ModelDims::Tiny();
   cfg.dropout_prob = 0.0f;
-  cfg.use_fused_kernels = true;
 
   auto params = EncoderParams::Init(cfg.dims, 5);
   EncoderLayer layer(cfg, params);

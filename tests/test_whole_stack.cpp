@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/threadpool.hpp"
 #include "graph/executor.hpp"
 #include "tensor/memstats.hpp"
@@ -189,6 +190,31 @@ TEST(WholeStack, BudgetedPlanRunsBitwiseIdentical) {
                                     /*memory_budget_bytes=*/full_peak / 2);
   EXPECT_LE(arena.plan().PeakBytes(), full_peak);
   ExpectWholeStackMatches(stack, arena, x, d_y, acts, ref_grads);
+}
+
+TEST(WholeStack, SecondBackwardWithoutForwardIsRejected) {
+  // Backward recycles the saved activations' bytes, so a second Backward
+  // with no Forward in between would read clobbered data and return wrong
+  // gradients. It must fail by name instead; a fresh Forward makes
+  // Backward valid again.
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ThreadGuard guard(threads);
+    const EncoderConfig cfg = TestConfig(/*fused=*/true);
+    const auto& d = cfg.dims;
+    EncoderStack stack(cfg, 2, 33);
+    const auto x = TensorH::Random(Ibj(d), 8);
+    const auto d_y = TensorH::Random(Ibj(d), 9);
+    auto arena = MakeStackArena<Half>(cfg, {.num_layers = 2});
+    std::vector<EncoderGradients> grads;
+    stack.Forward(x, arena);
+    stack.Backward(d_y, arena, grads);
+    const TensorH w_qkv = grads[0].params.w_qkv;  // owning: a deep copy
+    EXPECT_THROW(stack.Backward(d_y, arena, grads), InvalidArgument);
+    stack.Forward(x, arena);
+    stack.Backward(d_y, arena, grads);
+    EXPECT_EQ(MaxAbsDiff(grads[0].params.w_qkv, w_qkv), 0.0);
+  }
 }
 
 /// Mixed-precision Adam over every layer's parameters (fp32 masters
