@@ -66,9 +66,10 @@ class MhaLayerT {
   ~MhaLayerT();
 
   /// General attention: q is [i, b, j]; k and v are [i, b, k]. The inputs
-  /// and params() are bound by reference, so they must stay valid and
-  /// unmoved until Backward. Returns the arena's `out` view [i, b, j],
-  /// overwritten by the next Forward.
+  /// and params() are bound by reference, not copied, so they must stay
+  /// valid and unmoved until Backward: pass named tensors, not temporaries.
+  /// Returns the arena's `out` view [i, b, j], overwritten by the next
+  /// Forward.
   const Tensor<T>& Forward(const Tensor<T>& q, const Tensor<T>& k,
                            const Tensor<T>& v);
 

@@ -56,9 +56,12 @@ void ExpectRowsSumToOne(MhaLayer& layer) {
 TEST(Mha, GeneralAttentionRuns) {
   auto cfg = TinyMha();
   MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 5));
-  const auto& out = layer.Forward(SeqInput(cfg.dims, 'j', 1),
-                                  SeqInput(cfg.dims, 'k', 2),
-                                  SeqInput(cfg.dims, 'k', 3));
+  // Forward binds its inputs by reference: they must outlive Backward, so
+  // every case passes named tensors, never temporaries.
+  const auto q = SeqInput(cfg.dims, 'j', 1);
+  const auto k = SeqInput(cfg.dims, 'k', 2);
+  const auto v = SeqInput(cfg.dims, 'k', 3);
+  const auto& out = layer.Forward(q, k, v);
   EXPECT_EQ(out.shape().names(), "ibj");
   EXPECT_EQ(out.extent('j'), cfg.dims.j);
 }
@@ -66,8 +69,10 @@ TEST(Mha, GeneralAttentionRuns) {
 TEST(Mha, AttentionRowsSumToOne) {
   auto cfg = TinyMha();
   MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 7));
-  layer.Forward(SeqInput(cfg.dims, 'j', 1), SeqInput(cfg.dims, 'k', 2),
-                SeqInput(cfg.dims, 'k', 3));
+  const auto q = SeqInput(cfg.dims, 'j', 1);
+  const auto k = SeqInput(cfg.dims, 'k', 2);
+  const auto v = SeqInput(cfg.dims, 'k', 3);
+  layer.Forward(q, k, v);
   ExpectRowsSumToOne(layer);
 }
 
@@ -89,8 +94,9 @@ TEST(Mha, KeysLongerThanQueries) {
 TEST(Mha, CausalMaskZeroesTheFuture) {
   auto cfg = TinyMha(/*causal=*/true);
   MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 9));
-  auto x = SeqInput(cfg.dims, 'j', 4);
-  layer.Forward(x, x.RenamedDim('j', 'k'), x.RenamedDim('j', 'k'));
+  const auto x = SeqInput(cfg.dims, 'j', 4);
+  const auto kv = x.RenamedDim('j', 'k');
+  layer.Forward(x, kv, kv);
   const TensorH saved = layer.View("softmax_saved");
   for (std::int64_t h = 0; h < cfg.dims.h; ++h) {
     for (std::int64_t b = 0; b < cfg.dims.b; ++b) {
@@ -113,8 +119,9 @@ TEST(Mha, CausalMaskZeroesTheFuture) {
 TEST(Mha, CausalFirstPositionAttendsOnlyItself) {
   auto cfg = TinyMha(true);
   MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 11));
-  auto x = SeqInput(cfg.dims, 'j', 5);
-  layer.Forward(x, x.RenamedDim('j', 'k'), x.RenamedDim('j', 'k'));
+  const auto x = SeqInput(cfg.dims, 'j', 5);
+  const auto kv = x.RenamedDim('j', 'k');
+  layer.Forward(x, kv, kv);
   const TensorH saved = layer.View("softmax_saved");
   for (std::int64_t h = 0; h < cfg.dims.h; ++h) {
     for (std::int64_t b = 0; b < cfg.dims.b; ++b) {
@@ -128,11 +135,10 @@ TEST(Mha, CausalOutputIndependentOfFutureInput) {
   // Changing tokens after position t must not change the output at t.
   auto cfg = TinyMha(true);
   MhaLayer layer(cfg, MhaParams::Init(cfg.dims, 13));
-  auto x = SeqInput(cfg.dims, 'j', 6);
+  const auto x = SeqInput(cfg.dims, 'j', 6);
+  const auto kv = x.RenamedDim('j', 'k');
   // Deep copy: the output is an arena view the next Forward overwrites.
-  const TensorH out1 =
-      layer.Forward(x, x.RenamedDim('j', 'k'), x.RenamedDim('j', 'k'))
-          .Cast<Half>();
+  const TensorH out1 = layer.Forward(x, kv, kv).Cast<Half>();
 
   auto x2 = x;  // perturb the last position only
   for (std::int64_t i = 0; i < cfg.dims.i; ++i) {
@@ -140,8 +146,8 @@ TEST(Mha, CausalOutputIndependentOfFutureInput) {
       x2.at({{'i', i}, {'b', b}, {'j', cfg.dims.j - 1}}) = Half(9.0f);
     }
   }
-  const TensorH& out2 =
-      layer.Forward(x2, x2.RenamedDim('j', 'k'), x2.RenamedDim('j', 'k'));
+  const auto kv2 = x2.RenamedDim('j', 'k');
+  const TensorH& out2 = layer.Forward(x2, kv2, kv2);
 
   for (std::int64_t i = 0; i < cfg.dims.i; ++i) {
     for (std::int64_t b = 0; b < cfg.dims.b; ++b) {

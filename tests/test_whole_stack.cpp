@@ -1,10 +1,12 @@
 // Whole-stack executor parity: one graph (embedding -> N layers -> loss),
 // one plan, one slab -- bitwise identical to the owning per-layer
-// reference at every thread count, fused and unfused, causal or not,
-// checkpointed or not -- and allocation-free in steady state.
+// reference at every thread count, fused and unfused, fp16 and fp32,
+// causal or not, checkpointed or not -- and allocation-free in steady
+// state.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -54,24 +56,25 @@ Shape Ibj(const graph::ModelDims& d) {
 }
 
 /// Owning per-layer forward+backward; outputs stay in acts/grads.
-void OwningRun(const EncoderStack& stack, const TensorH& x,
-               const TensorH& d_y, std::vector<EncoderActivations>& acts,
-               std::vector<EncoderGradients>& grads) {
+template <typename T>
+void OwningRun(const EncoderStackT<T>& stack, const Tensor<T>& x,
+               const Tensor<T>& d_y, std::vector<EncoderActivationsT<T>>& acts,
+               std::vector<EncoderGradientsT<T>>& grads) {
   stack.Forward(x, acts);
   stack.Backward(d_y, acts, grads);
 }
 
 /// Runs the whole-stack executor over `arena` and checks y, d_x and every
 /// weight gradient bitwise against the owning reference.
-void ExpectWholeStackMatches(const EncoderStack& stack,
-                             StackArenaT<Half>& arena, const TensorH& x,
-                             const TensorH& d_y,
-                             const std::vector<EncoderActivations>& ref_acts,
-                             std::vector<EncoderGradients>& ref_grads) {
-  const TensorH& y = stack.Forward(x, arena);
+template <typename T>
+void ExpectWholeStackMatches(
+    const EncoderStackT<T>& stack, StackArenaT<T>& arena, const Tensor<T>& x,
+    const Tensor<T>& d_y, const std::vector<EncoderActivationsT<T>>& ref_acts,
+    std::vector<EncoderGradientsT<T>>& ref_grads) {
+  const Tensor<T>& y = stack.Forward(x, arena);
   EXPECT_EQ(MaxAbsDiff(y, ref_acts.back().y), 0.0);
-  std::vector<EncoderGradients> grads;
-  const TensorH& d_x = stack.Backward(d_y, arena, grads);
+  std::vector<EncoderGradientsT<T>> grads;
+  const Tensor<T>& d_x = stack.Backward(d_y, arena, grads);
   EXPECT_EQ(MaxAbsDiff(d_x, ref_grads.front().d_x), 0.0);
   ASSERT_EQ(grads.size(), ref_grads.size());
   for (std::size_t l = 0; l < grads.size(); ++l) {
@@ -85,21 +88,23 @@ void ExpectWholeStackMatches(const EncoderStack& stack,
   }
 }
 
+template <typename T = Half>
 void ParityAt(const EncoderConfig& cfg, int layers, int threads) {
   SCOPED_TRACE(::testing::Message()
-               << "fused=" << cfg.use_fused_kernels << " causal="
-               << cfg.causal << " i=" << cfg.dims.i << " layers=" << layers
+               << "fp32=" << (std::is_same_v<T, float>) << " fused="
+               << cfg.use_fused_kernels << " causal=" << cfg.causal
+               << " i=" << cfg.dims.i << " layers=" << layers
                << " threads=" << threads);
   ThreadGuard guard(threads);
   const auto& d = cfg.dims;
-  EncoderStack stack(cfg, layers, 21);
-  const auto x = TensorH::Random(Ibj(d), 2);
-  const auto d_y = TensorH::Random(Ibj(d), 3);
-  std::vector<EncoderActivations> acts;
-  std::vector<EncoderGradients> ref_grads;
+  EncoderStackT<T> stack(cfg, layers, 21);
+  const auto x = Tensor<T>::Random(Ibj(d), 2);
+  const auto d_y = Tensor<T>::Random(Ibj(d), 3);
+  std::vector<EncoderActivationsT<T>> acts;
+  std::vector<EncoderGradientsT<T>> ref_grads;
   OwningRun(stack, x, d_y, acts, ref_grads);
 
-  auto arena = MakeStackArena<Half>(cfg, {.num_layers = layers});
+  auto arena = MakeStackArena<T>(cfg, {.num_layers = layers});
   ExpectWholeStackMatches(stack, arena, x, d_y, acts, ref_grads);
 }
 
@@ -129,6 +134,21 @@ TEST(WholeStack, BitwiseMatchesOwningSingleToken) {
       EncoderConfig cfg = TestConfig(fused);
       cfg.dims.b = cfg.dims.j = cfg.dims.k = 1;
       ParityAt(cfg, 2, threads);
+    }
+  }
+}
+
+TEST(WholeStack, BitwiseMatchesOwningFloat) {
+  // The fp32 stack (the causal decoder example trains in fp32) launches
+  // the fp32 instantiations of the fused kernels; the owning per-operator
+  // layer is their reference at this precision.
+  for (const int threads : {1, 8}) {
+    for (const bool fused : {true, false}) {
+      for (const bool causal : {false, true}) {
+        EncoderConfig cfg = TestConfig(fused);
+        cfg.causal = causal;
+        ParityAt<float>(cfg, 2, threads);
+      }
     }
   }
 }
