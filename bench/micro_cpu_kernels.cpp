@@ -435,8 +435,48 @@ void BM_AdamStep(benchmark::State& state) {
 }
 BENCHMARK(BM_AdamStep)->ArgName("threads")->Arg(1)->Arg(8)->UseRealTime();
 
+void BM_EncoderGemm(benchmark::State& state) {
+  // The encoder's feed-forward GEMMs at BERT-base widths (I=768, U=3072,
+  // b*j = 2*128), one per operand order the GEMM's pack step meets:
+  // order 0 is linear 1 (weights k-contiguous), order 1 linear 2 dX
+  // (weights m-contiguous), order 2 linear 2 dW (both operands
+  // k-contiguous). Items are flops (2*M*N*K).
+  struct Case {
+    const char* spec;
+    Shape a, b, out;
+  };
+  constexpr std::int64_t kBertI = 768, kBertU = 3072, kBatch = 2, kSeq = 128;
+  const Case cases[] = {
+      {"ui,ibj->ubj", Shape("ui", {kBertU, kBertI}),
+       Shape("ibj", {kBertI, kBatch, kSeq}),
+       Shape("ubj", {kBertU, kBatch, kSeq})},
+      {"iu,ibj->ubj", Shape("iu", {kBertI, kBertU}),
+       Shape("ibj", {kBertI, kBatch, kSeq}),
+       Shape("ubj", {kBertU, kBatch, kSeq})},
+      {"ibj,ubj->iu", Shape("ibj", {kBertI, kBatch, kSeq}),
+       Shape("ubj", {kBertU, kBatch, kSeq}), Shape("iu", {kBertI, kBertU})},
+  };
+  const Case& c = cases[state.range(0)];
+  ThreadGuard threads(static_cast<int>(state.range(1)));
+  const auto spec = EinsumSpec::Parse(c.spec);
+  auto a = TensorH::Random(c.a, 1);
+  auto b = TensorH::Random(c.b, 2);
+  TensorH out(c.out);
+  for (auto _ : state) {
+    EinsumInto(spec, a, b, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * spec.FlopCount(c.a, c.b));
+  state.SetLabel(c.spec);
+}
+BENCHMARK(BM_EncoderGemm)
+    ->ArgNames({"order", "threads"})
+    ->ArgsProduct({{0, 1, 2}, {1, 8}})
+    ->UseRealTime();
+
 void BM_EinsumLowering(benchmark::State& state) {
-  // Specialized gemv/ger kernels vs the generic macro-tile pipeline on
+  // Specialized gemv/ger kernels vs the generic block/pack pipeline on
   // the same degenerate contraction (bitwise-identical results by test):
   // the win is skipping the pack/tile machinery whose setup traffic a
   // rank-deficient GEMM cannot amortize.

@@ -277,9 +277,8 @@ const EinsumClassInfo& ClassifyEinsum(const EinsumSpec& spec,
 
 namespace {
 
-/// Default rows-per-task for the specialized row-partitioned kernels;
-/// matches the generic pipeline's M macro-tile height so a lowered gemv
-/// spawns about as many tasks as the GEMM it replaced.
+/// Default rows-per-task for the specialized row-partitioned kernels; the
+/// autotuner also tries 16 and 256 (EinsumExecConfig::row_grain).
 constexpr std::int64_t kDefaultRowGrain = 64;
 
 }  // namespace
@@ -304,6 +303,20 @@ void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
                       ShapeStr(b.shape()).c_str(),
                       ShapeStr(out.shape()).c_str()));
   }
+  // The output tables index `out` over the operands' free-dim extents, so
+  // each m (n) dim must be in `out` with a's (b's) extent. (A dim missing
+  // from its operand fails by name in ContractionExtents.)
+  const auto check_free = [&](char d, const Tensor<T>& operand) {
+    require(!operand.shape().has(d) ||
+                (out.shape().has(d) && out.extent(d) == operand.extent(d)),
+            StrFormat("einsum '%s': output dim '%c' is missing from out or "
+                      "does not match its operand's extent: a=%s b=%s out=%s",
+                      SpecStr(spec).c_str(), d, ShapeStr(a.shape()).c_str(),
+                      ShapeStr(b.shape()).c_str(),
+                      ShapeStr(out.shape()).c_str()));
+  };
+  for (char d : spec.m_dims) check_free(d, a);
+  for (char d : spec.n_dims) check_free(d, b);
   require(out.shape().names().size() == spec.out.size(),
           StrFormat("einsum '%s': output tensor rank %zu does not match "
                     "the spec's %zu output dims (out=%s)",
@@ -383,7 +396,7 @@ void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
                                   row_grain);
         }
         break;
-      default:  // kGemm / kBatchedGemm: the generic macro-tile pipeline.
+      default:  // kGemm / kBatchedGemm: the generic block/pack pipeline.
         GemmOffsets<T, T>(pa, pb, pc, a_m, a_k, b_k, b_n, c_m, c_n, alpha,
                           beta);
         break;

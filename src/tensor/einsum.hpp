@@ -76,7 +76,7 @@ void EinsumInto(const EinsumSpec& spec, const Tensor<T>& a, const Tensor<T>& b,
 /// executor passes the class ClassifyEinsum derives for the site, the
 /// same lookup that keys its autotune bucket). `cls` must be the site's
 /// derived class, except that kGemm / kBatchedGemm always run the generic
-/// macro-tile pipeline -- passing kGemm forces the generic path for any
+/// block/pack pipeline -- passing kGemm forces the generic path for any
 /// shape, which is how the bitwise specialized-vs-generic tests and
 /// benches get their baseline -- and kUnclassified classifies on the fly.
 /// `exec`, when non-null, overrides the parallelization heuristics (see

@@ -2,7 +2,7 @@
 //
 // Every contraction flattens to a (batched) GEMM of extents (m, n, k,
 // batch), but most of the degenerate shapes deserve cheaper kernels than
-// the macro-tile/pack GEMM pipeline: a matrix-vector product has no B
+// the block/pack GEMM pipeline: a matrix-vector product has no B
 // panel to pack, an outer product performs one multiply per output
 // element, a pure reduction is a dot product, and a contraction with
 // every GEMM dim degenerate is just a scaled copy. ClassifyContraction

@@ -7,11 +7,31 @@
 // index along that axis, which uniformly encodes any transposition or
 // multi-dimensional flattening.
 //
-// Execution is parallel over the M x N macro-tile grid using the global
-// ThreadPool (see common/threadpool.hpp; XFLOW_THREADS controls the count).
-// Each output tile is computed start-to-finish by one thread with
-// thread-local pack buffers and a fixed ascending-k accumulation order, so
-// results are bitwise identical at every thread count.
+// GemmOffsets is a micro-panel GEMM (the BLIS/GotoBLAS layout):
+// - Blocking. The output is cut into 192 x 256 blocks, one task each, and
+//   K into 128-deep slices.
+// - Panels. Per slice a task packs A into 8-row panels and B into
+//   register-tile-wide column panels of fp32, converting fp16 once. Each
+//   pack reads its operand in the operand's own memory order: an A panel
+//   is [8][k] when k is unit-stride and [k][8] when m is; B is copied by
+//   k-rows when n is unit-stride and by columns otherwise. Non-affine
+//   offset tables keep their per-element lookups. Ragged edge panels are
+//   zero-padded, so the kernel only ever runs full tiles.
+// - Register tile. The kernel keeps an 8-row accumulator tile in vector
+//   registers for a whole slice: 8 x 32 (16 accumulators) with AVX-512,
+//   8 x 8 with AVX, 8 x 4 otherwise, so it never spills.
+//
+// Bitwise contract: every output element is one fp32 chain
+// `acc += a * b` over k in ascending order from 0.0f (an FMA chain where
+// the target has FMA), written back as TOut(alpha * acc + prior) with
+// prior = beta * C, or 0 when beta == 0. The tile shape, the blocking and
+// the thread count never change a bit; test_gemm_threaded pins the result
+// to a serial loop.
+//
+// Execution is parallel over the block grid using the global ThreadPool
+// (see common/threadpool.hpp; XFLOW_THREADS controls the count). Each
+// block is computed start to finish by one thread with thread-local pack
+// buffers, so results are bitwise identical at every thread count.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +41,10 @@
 
 namespace xflow {
 
-/// Number of independent macro-tiles GemmOffsets runs for an M x N output
-/// -- the unit of intra-GEMM parallelism. Callers with many independent
-/// GEMMs (batched einsum) use this to decide which level to parallelize.
+/// Number of independent output blocks GemmOffsets runs for an M x N
+/// output -- the unit of intra-GEMM parallelism. Callers with many
+/// independent GEMMs (batched einsum) use this to decide which level to
+/// parallelize.
 std::int64_t GemmTileCount(std::int64_t m, std::int64_t n);
 
 /// C[c_m[m] + c_n[n]] = alpha * sum_k A[a_m[m] + a_k[k]] * B[b_k[k] + b_n[n]]
@@ -40,8 +61,7 @@ void GemmOffsets(const TIn* a, const TIn* b, TOut* c,
 
 // ---------------------------------------------------------------------
 // Specialized kernels for the degenerate contraction classes (see
-// tensor/einsum_class.hpp). None of them pay the macro-tile/pack
-// pipeline, and every one performs, per output element, exactly the
+// tensor/einsum_class.hpp). None of them pay the block/pack pipeline, and every one performs, per output element, exactly the
 // generic path's float-op sequence -- fp32 convert, ascending-k
 // `acc += a * b` accumulation from 0.0f, `TOut(alpha * acc + prior)`
 // writeback -- so results are bitwise identical to GemmOffsets at every

@@ -255,7 +255,7 @@ TEST(EinsumErrors, NameTheSpecAndShapes) {
 
 // ---------------------------------------------------------------------
 // Bitwise identity: every specialized class equals the generic
-// macro-tile pipeline (forced via EinsumClass::kGemm), at 1/2/8 threads,
+// block/pack pipeline (forced via EinsumClass::kGemm), at 1/2/8 threads,
 // for Half and float, in natural and reversed (strided-view) layouts.
 
 template <typename T>
@@ -350,6 +350,35 @@ TEST(EinsumLoweredBitwise, HalfNaturalLayouts) {
 }
 TEST(EinsumLoweredBitwise, HalfReversedLayouts) {
   SweepClassesBitwise<Half>(true);
+}
+
+TEST(EinsumErrors, RejectOutputFreeDimsThatDoNotMatchTheOperands) {
+  // The output's m and n dims are indexed with the operands' extents, so
+  // an `out` that is too short or names another dim used to be written
+  // past its end or filled with wrong values, silently.
+  auto spec = EinsumSpec::Parse("mk,kn->mn");
+  auto a = TensorF::Random(Shape("mk", {4, 8}), 1);
+  auto b = TensorF::Random(Shape("kn", {8, 8}), 2);
+  const Shape bad_outs[] = {Shape("mn", {2, 8}), Shape("mn", {4, 4}),
+                            Shape("xn", {4, 8}), Shape("my", {4, 8})};
+  for (const Shape& shape : bad_outs) {
+    TensorF out(shape);
+    for (EinsumClass cls : {EinsumClass::kUnclassified, EinsumClass::kGemm}) {
+      try {
+        EinsumLowered<float>(spec, cls, a, b, out);
+        FAIL() << "expected InvalidArgument for out=" << ToString(shape);
+      } catch (const InvalidArgument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("mk,kn->mn"), std::string::npos) << what;
+        EXPECT_NE(what.find("a=[m:4,k:8]"), std::string::npos) << what;
+        EXPECT_NE(what.find("b=[k:8,n:8]"), std::string::npos) << what;
+        EXPECT_NE(what.find("out=["), std::string::npos) << what;
+      }
+    }
+  }
+  // Any memory order of the right dims is accepted.
+  TensorF transposed(Shape("nm", {8, 4}));
+  EXPECT_NO_THROW(EinsumInto<float>(spec, a, b, transposed));
 }
 
 TEST(EinsumLowered, RejectsAMismatchedSpecializedClass) {
