@@ -475,57 +475,17 @@ BENCHMARK(BM_EncoderGemm)
     ->ArgsProduct({{0, 1, 2}, {1, 8}})
     ->UseRealTime();
 
-void BM_EinsumLowering(benchmark::State& state) {
-  // Specialized gemv/ger kernels vs the generic block/pack pipeline on
-  // the same degenerate contraction (bitwise-identical results by test):
-  // the win is skipping the pack/tile machinery whose setup traffic a
-  // rank-deficient GEMM cannot amortize.
-  const bool ger = state.range(0) != 0;
-  const bool lowered = state.range(1) != 0;
-  ThreadGuard threads(static_cast<int>(state.range(2)));
-  constexpr std::int64_t kM = 1024, kN = 1024, kK = 1024;
-  const auto spec = EinsumSpec::Parse("mk,kn->mn");
-  const Shape a_shape = ger ? Shape("mk", {kM, 1}) : Shape("mk", {kM, kK});
-  const Shape b_shape = ger ? Shape("kn", {1, kN}) : Shape("kn", {kK, 1});
-  const Shape out_shape = ger ? Shape("mn", {kM, kN}) : Shape("mn", {kM, 1});
-  auto a = TensorH::Random(a_shape, 1);
-  auto b = TensorH::Random(b_shape, 2);
-  TensorH out(out_shape);
-  // kUnclassified classifies on the fly (gemv / ger here); forcing kGemm
-  // runs the generic pipeline on the identical operands.
-  const auto cls = lowered ? EinsumClass::kUnclassified : EinsumClass::kGemm;
-  for (auto _ : state) {
-    EinsumLowered(spec, cls, a, b, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          (a_shape.num_elements() + b_shape.num_elements() +
-                           out_shape.num_elements()) *
-                          2);
-}
-BENCHMARK(BM_EinsumLowering)
-    ->ArgNames({"ger", "lowered", "threads"})
-    ->Args({0, 0, 1})
-    ->Args({0, 1, 1})
-    ->Args({1, 0, 1})
-    ->Args({1, 1, 1})
-    ->Args({0, 0, 8})
-    ->Args({0, 1, 8})
-    ->Args({1, 0, 8})
-    ->Args({1, 1, 8})
-    ->UseRealTime();
-
 void BM_AutotuneWarmVsCold(benchmark::State& state) {
   // What tuning a cold bucket costs (best-of-two timing of every
-  // execution candidate) vs the warm steady state the executor lives in
-  // (one map lookup under a mutex).
+  // execution candidate of a batched GEMM) vs the warm steady state the
+  // executor lives in (one map lookup under a mutex).
   ThreadGuard threads(1);
   const bool warm = state.range(0) != 0;
-  const auto spec = EinsumSpec::Parse("mk,kn->mn");
-  const Shape a_shape("mk", {256, 256}), b_shape("kn", {256, 1});
+  const auto spec = EinsumSpec::Parse("bmk,bkn->bmn");
+  const Shape a_shape("bmk", {8, 64, 64}), b_shape("bkn", {8, 64, 64});
   auto a = TensorH::Random(a_shape, 1);
   auto b = TensorH::Random(b_shape, 2);
-  TensorH out(Shape("mn", {256, 1}));
+  TensorH out(Shape("bmn", {8, 64, 64}));
   const auto& info = ClassifyEinsum(spec, a_shape, b_shape);
   const auto bucket = config::BucketOf(info.cls, info.extents, 2);
   const config::MeasureFn measure = [&](const EinsumExecConfig& cand) {

@@ -78,19 +78,10 @@ ShapeBucket BucketOf(EinsumClass cls, const GemmExtents& extents,
 
 std::vector<EinsumExecConfig> ExecCandidates(const ShapeBucket& bucket) {
   std::vector<EinsumExecConfig> out;
-  out.push_back(EinsumExecConfig{});  // the built-in heuristics
-  const bool row_partitioned = bucket.cls == EinsumClass::kGemv ||
-                               bucket.cls == EinsumClass::kGer ||
-                               bucket.cls == EinsumClass::kView;
-  if (row_partitioned) {
-    // Finer grain balances better, coarser grain amortizes task
-    // dispatch; which wins depends on rows-per-core on this host.
-    out.push_back(EinsumExecConfig{.batch_parallel = -1, .row_grain = 16});
-    out.push_back(EinsumExecConfig{.batch_parallel = -1, .row_grain = 256});
-  }
+  out.push_back(EinsumExecConfig{});  // the built-in heuristic
   if (bucket.batch > 1) {
-    out.push_back(EinsumExecConfig{.batch_parallel = 1, .row_grain = 0});
-    out.push_back(EinsumExecConfig{.batch_parallel = 0, .row_grain = 0});
+    out.push_back(EinsumExecConfig{.batch_parallel = 1});
+    out.push_back(EinsumExecConfig{.batch_parallel = 0});
   }
   return out;
 }
@@ -118,7 +109,8 @@ TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
   TunedEntry entry;
   const auto candidates = ExecCandidates(bucket);
   entry.exec = candidates.front();
-  if (measure) {
+  // A lone candidate wins untimed: running it would only cost set-up time.
+  if (measure && candidates.size() > 1) {
     try {
       double best = std::numeric_limits<double>::infinity();
       for (const auto& cand : candidates) {

@@ -1,18 +1,21 @@
 // Online per-(op class, shape bucket) contraction autotuner (Sec. VI).
 //
 // The paper picks each contraction's configuration by measuring it on the
-// device it runs on; this module does the same live. The first time the
+// device it runs on; this module does the same live. Every contraction
+// runs on the one GEMM (tensor/gemm.hpp), so the one choice is how a
+// batched GEMM uses the pool: parallelize the batch loop, or run the batch
+// serially with each GEMM's blocks in parallel. The first time the
 // executor dispatches a contraction of a given (EinsumClass, bucketed
-// extents, element size), the autotuner times the bucket's
-// execution-strategy candidates (ExecCandidates) once on the real kernels
-// and caches the fastest process-wide. Repeat steps -- and warm serving
-// plans, which key their plan cache the same way -- always run the cached
-// config and never re-measure (asserted via memstats::autotune_measures /
-// autotune_hits).
+// extents, element size), the autotuner times the bucket's candidates
+// (ExecCandidates) once on the real kernel and caches the fastest
+// process-wide; a single GEMM has one candidate, which is cached untimed.
+// Repeat steps -- and warm serving plans, which key their plan cache the
+// same way -- always run the cached config and never re-measure (asserted
+// via memstats::autotune_measures / autotune_hits).
 //
-// Every tunable knob is numerics-free (see EinsumExecConfig), so tuning
-// never changes results: measuring simply re-runs the real contraction,
-// which is legal whenever beta == 0 (the executor's only mode).
+// The choice is numerics-free (see EinsumExecConfig), so tuning never
+// changes results: measuring simply re-runs the real contraction, which is
+// legal whenever beta == 0 (the executor's only mode).
 //
 // XFLOW_AUTOTUNE selects the mode: "measure" (default) tunes and caches;
 // "off" bypasses the cache and always returns the built-in heuristic.
@@ -68,20 +71,22 @@ struct TunedEntry {
 using MeasureFn = std::function<double(const EinsumExecConfig&)>;
 
 /// The cached entry for the bucket, tuning on first call (kOff bypasses
-/// the cache entirely). With a non-null `measure`, each candidate
-/// strategy is timed once and the fastest wins; otherwise the first
-/// candidate (the built-in heuristic) is cached untimed. Cache fills are
-/// metered via memstats::autotune_measures, warm lookups via
-/// autotune_hits. The cache lock is not held while tuning, so `measure`
-/// may re-enter Autotune; a lookup of a bucket whose tuning is still in
-/// flight (on any thread) returns the built-in heuristic without waiting
-/// or counting.
+/// the cache entirely). With a non-null `measure` and more than one
+/// candidate, each candidate strategy is timed and the fastest wins;
+/// otherwise the first candidate (the built-in heuristic) is cached
+/// untimed. Cache fills, timed or not, are metered via
+/// memstats::autotune_measures, warm lookups via autotune_hits. The cache
+/// lock is not held while tuning, so `measure` may re-enter Autotune; a
+/// lookup of a bucket whose tuning is still in flight (on any thread)
+/// returns the built-in heuristic without waiting or counting.
 TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
                     AutotuneMode mode);
 TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure);
 
 /// The deterministic list of execution-strategy candidates the tuner
-/// measures for a bucket, best-guess first (exposed for tests).
+/// measures for a bucket, best-guess first: the heuristic alone for a
+/// single GEMM, plus batch-loop and block parallelism for a batch (exposed
+/// for tests).
 std::vector<EinsumExecConfig> ExecCandidates(const ShapeBucket& bucket);
 
 /// Drops every cached entry (tests and the cold-vs-warm bench).

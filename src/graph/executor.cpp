@@ -636,12 +636,11 @@ void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
       const Tensor<T>& b = View(o.b);
       Tensor<T>& out = MutableView(o.out);
       // The site's class (cached per spec and operand shapes) keys the
-      // autotune bucket and picks the kernel. Autotune looks up (or tunes,
-      // once, process-wide) the execution strategy for the bucket, or
-      // returns the built-in heuristic under XFLOW_AUTOTUNE=off.
-      // Measuring re-runs the real dispatch -- legal because beta == 0
-      // here, so every candidate writes the same bits the final run
-      // writes.
+      // autotune bucket. Autotune looks up (or tunes, once, process-wide)
+      // the execution strategy for the bucket, or returns the built-in
+      // heuristic under XFLOW_AUTOTUNE=off. Measuring re-runs the real
+      // dispatch -- legal because beta == 0 here, so every candidate
+      // writes the same bits the final run writes.
       const EinsumClassInfo& info = ClassifyEinsum(spec, a.shape(),
                                                    b.shape());
       const config::TunedEntry tuned = config::Autotune(

@@ -109,10 +109,6 @@ MemoryPlan PlanMemory(const DataflowGraph& graph,
   // tensor (an output or a forward-only saved tensor) is read after the
   // step, so it stays live to the end; graph inputs are pinned -- the
   // caller owns their contents for the whole step.
-  auto kept = [&](const std::string& name) {
-    return std::find(options.keep_live.begin(), options.keep_live.end(),
-                     name) != options.keep_live.end();
-  };
   auto excluded = [&](const std::string& name) {
     return std::find(options.exclude.begin(), options.exclude.end(), name) !=
            options.exclude.end();
@@ -145,7 +141,7 @@ MemoryPlan PlanMemory(const DataflowGraph& graph,
     for (int c : consumers) {
       last = std::max(last, op_span[static_cast<std::size_t>(c)].second);
     }
-    if (producer < 0 || consumers.empty() || kept(name)) {
+    if (producer < 0 || consumers.empty()) {
       last = last_op;
       // Exceptions to "no consumer -> live to end", both checkpoint
       // artifacts (mirrored by the verifier's liveness re-derivation,
@@ -159,7 +155,7 @@ MemoryPlan PlanMemory(const DataflowGraph& graph,
       //    either: it dies with its producer -- that early death is the
       //    entire point of checkpointing. Stored layer boundaries
       //    ("L<l>.y") are exempt: the top one IS the step output.
-      if (producer >= 0 && consumers.empty() && !kept(name)) {
+      if (producer >= 0 && consumers.empty()) {
         const bool clone_byproduct =
             !graph.ops()[static_cast<std::size_t>(producer)]
                  .recompute_of.empty();

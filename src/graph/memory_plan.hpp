@@ -48,10 +48,6 @@ struct PlanOptions {
   /// layernorm statistics).
   std::function<std::size_t(const TensorNode&)> elem_bytes;
   std::vector<PlanGroup> groups;
-  /// Containers forced live to the end of the graph even when something
-  /// consumes them earlier -- saved activations of a forward-only graph,
-  /// whose backward pass lives outside the plan.
-  std::vector<std::string> keep_live;
   /// Containers excluded from the plan entirely (like weights): graph
   /// inputs the executor passes by reference instead of staging in the
   /// arena, e.g. the encoder's d_y.

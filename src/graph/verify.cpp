@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -643,10 +644,6 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
     for (int i : members) op_span[static_cast<std::size_t>(i)] = {*lo, *hi};
     spans.push_back(std::move(members));
   }
-  auto kept = [&](const std::string& name) {
-    return std::find(opt.keep_live.begin(), opt.keep_live.end(), name) !=
-           opt.keep_live.end();
-  };
   auto excluded = [&](const std::string& name) {
     return std::find(opt.exclude.begin(), opt.exclude.end(), name) !=
            opt.exclude.end();
@@ -668,13 +665,13 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
       last = std::max(
           last, expanded ? op_span[static_cast<std::size_t>(c)].second : c);
     }
-    if (producer < 0 || consumers.empty() || kept(name)) {
+    if (producer < 0 || consumers.empty()) {
       last = last_op;
       // Mirrors the planner's checkpoint exceptions: an unread output of a
       // recompute clone, and an original whose backward readers were
       // retargeted to its "@r" clone (stored ".y" boundaries exempt), are
       // not step outputs -- both die with their producer.
-      if (producer >= 0 && consumers.empty() && !kept(name)) {
+      if (producer >= 0 && consumers.empty()) {
         const bool clone_byproduct =
             !g.ops()[static_cast<std::size_t>(producer)].recompute_of.empty();
         const bool recompute_dropped =
@@ -1103,14 +1100,14 @@ VerifyReport Verify(const DataflowGraph& graph, const MemoryPlan& plan,
   return report;
 }
 
-bool VerifyEnvEnabled(const char* value, bool debug_default) {
+std::optional<bool> VerifyEnvEnabled(const char* value, bool debug_default) {
   if (value == nullptr || *value == '\0') return debug_default;
   std::string v(value);
   std::transform(v.begin(), v.end(), v.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
   if (v == "0" || v == "false" || v == "off" || v == "no") return false;
-  return debug_default;
+  return std::nullopt;
 }
 
 bool PreflightVerifyEnabled() {
@@ -1119,8 +1116,17 @@ bool PreflightVerifyEnabled() {
 #else
   constexpr bool kDefault = false;
 #endif
-  static const bool enabled =
-      VerifyEnvEnabled(std::getenv("XFLOW_VERIFY"), kDefault);
+  static const bool enabled = [] {
+    const char* env = std::getenv("XFLOW_VERIFY");
+    if (const auto parsed = VerifyEnvEnabled(env, kDefault)) return *parsed;
+    // Like XFLOW_THREADS and XFLOW_AUTOTUNE: a misspelled request for the
+    // pre-flight must not silently run without it.
+    std::fprintf(stderr,
+                 "xflow: ignoring invalid XFLOW_VERIFY=\"%s\" (expected "
+                 "1/true/on/yes or 0/false/off/no); using %s\n",
+                 env, kDefault ? "on" : "off");
+    return kDefault;
+  }();
   return enabled;
 }
 

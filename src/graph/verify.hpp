@@ -58,6 +58,7 @@
 // containers), reusing VerifyIssue/VerifyReport.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -113,11 +114,14 @@ VerifyReport Verify(const DataflowGraph& graph, const MemoryPlan& plan,
 /// Gate for the executor's pre-flight verification: the XFLOW_VERIFY
 /// environment variable when set (1/true/on/yes or 0/false/off/no),
 /// otherwise on in Debug builds (!NDEBUG) and off in Release. Read once
-/// per process.
+/// per process; an unrecognized value warns once on stderr, naming it,
+/// and keeps the build-type default.
 bool PreflightVerifyEnabled();
 
 /// The pure decision behind PreflightVerifyEnabled (exposed for tests):
-/// `value` is the environment string or nullptr for unset.
-bool VerifyEnvEnabled(const char* value, bool debug_default);
+/// `value` is the environment string or nullptr for unset, matched
+/// case-insensitively. Unset or "" -> `debug_default`; anything other
+/// than the spellings above is unrecognized (nullopt).
+std::optional<bool> VerifyEnvEnabled(const char* value, bool debug_default);
 
 }  // namespace xflow::graph

@@ -231,14 +231,6 @@ std::string_view ToString(EinsumClass cls) {
       return "gemm";
     case EinsumClass::kBatchedGemm:
       return "batched-gemm";
-    case EinsumClass::kGemv:
-      return "gemv";
-    case EinsumClass::kGer:
-      return "ger";
-    case EinsumClass::kReduction:
-      return "reduction";
-    case EinsumClass::kView:
-      return "view";
   }
   return "unclassified";
 }
@@ -275,18 +267,10 @@ const EinsumClassInfo& ClassifyEinsum(const EinsumSpec& spec,
   return *it->second;
 }
 
-namespace {
-
-/// Default rows-per-task for the specialized row-partitioned kernels; the
-/// autotuner also tries 16 and 256 (EinsumExecConfig::row_grain).
-constexpr std::int64_t kDefaultRowGrain = 64;
-
-}  // namespace
-
 template <typename T>
-void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
-                   const Tensor<T>& b, Tensor<T>& out, float alpha, float beta,
-                   const EinsumExecConfig* exec) {
+void EinsumLowered(const EinsumSpec& spec, EinsumClass /*cls*/,
+                   const Tensor<T>& a, const Tensor<T>& b, Tensor<T>& out,
+                   float alpha, float beta, const EinsumExecConfig* exec) {
   // Validate extents agree across operands.
   for (char d : spec.k_dims) {
     require(a.extent(d) == b.extent(d),
@@ -305,7 +289,7 @@ void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
   }
   // The output tables index `out` over the operands' free-dim extents, so
   // each m (n) dim must be in `out` with a's (b's) extent. (A dim missing
-  // from its operand fails by name in ContractionExtents.)
+  // from its operand fails by name in ClassifyEinsum below.)
   const auto check_free = [&](char d, const Tensor<T>& operand) {
     require(!operand.shape().has(d) ||
                 (out.shape().has(d) && out.extent(d) == operand.extent(d)),
@@ -322,120 +306,35 @@ void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
                     "the spec's %zu output dims (out=%s)",
                     SpecStr(spec).c_str(), out.shape().names().size(),
                     spec.out.size(), ShapeStr(out.shape()).c_str()));
-
-  const EinsumClassInfo& info = ClassifyEinsum(spec, a.shape(), b.shape());
-  if (cls == EinsumClass::kUnclassified) cls = info.cls;
-  // kGemm / kBatchedGemm force the generic pipeline for any shape (the
-  // bitwise baseline); any *specialized* class must be the one this
-  // site's extents derive, or the kernel would read the wrong tables.
-  require(cls == info.cls || cls == EinsumClass::kGemm ||
-              cls == EinsumClass::kBatchedGemm,
-          StrFormat("einsum '%s': lowered class '%.*s' does not match the "
-                    "derived class '%.*s' (a=%s b=%s)",
-                    SpecStr(spec).c_str(),
-                    static_cast<int>(ToString(cls).size()),
-                    ToString(cls).data(),
-                    static_cast<int>(ToString(info.cls).size()),
-                    ToString(info.cls).data(), ShapeStr(a.shape()).c_str(),
-                    ShapeStr(b.shape()).c_str()));
+  (void)ClassifyEinsum(spec, a.shape(), b.shape());
 
   const EinsumTables& t = CachedTables(spec, a.shape(), b.shape(),
                                        out.shape());
-  const auto& a_batch = t.a_batch;
-  const auto& b_batch = t.b_batch;
-  const auto& c_batch = t.c_batch;
-  const auto& a_m = t.a_m;
-  const auto& c_m = t.c_m;
-  const auto& b_n = t.b_n;
-  const auto& c_n = t.c_n;
-  const auto& a_k = t.a_k;
-  const auto& b_k = t.b_k;
-
-  const auto m = static_cast<std::int64_t>(a_m.size());
-  const auto n = static_cast<std::int64_t>(b_n.size());
-  const std::int64_t row_grain =
-      exec != nullptr && exec->row_grain > 0 ? exec->row_grain
-                                             : kDefaultRowGrain;
-
-  // One inner GEMM/kernel of the batch. Specialized classes index the
-  // same offset tables as the generic path, with degenerate (size-1)
-  // groups folded into the operand base pointers; per output element
-  // they run the generic pipeline's exact float-op sequence, so every
-  // class is bitwise identical to GemmOffsets on the same site.
   auto run_one = [&](std::int64_t batch) {
     const auto i = static_cast<std::size_t>(batch);
-    const T* pa = a.data() + a_batch[i];
-    const T* pb = b.data() + b_batch[i];
-    T* pc = out.data() + c_batch[i];
-    switch (cls) {
-      case EinsumClass::kGemv:
-        if (n == 1) {
-          GemvOffsets<T, T>(pa, pb + b_n[0], pc + c_n[0], a_m, a_k, b_k, c_m,
-                            alpha, beta, row_grain);
-        } else {  // m == 1: the matrix is b, the vector is a.
-          GemvOffsets<T, T>(pb, pa + a_m[0], pc + c_m[0], b_n, b_k, a_k, c_n,
-                            alpha, beta, row_grain);
-        }
-        break;
-      case EinsumClass::kGer:
-        GerOffsets<T, T>(pa + a_k[0], pb + b_k[0], pc, a_m, b_n, c_m, c_n,
-                         alpha, beta, row_grain);
-        break;
-      case EinsumClass::kReduction:
-        DotOffsets<T, T>(pa + a_m[0], pb + b_n[0], pc + c_m[0] + c_n[0], a_k,
-                         b_k, alpha, beta);
-        break;
-      case EinsumClass::kView:
-        if (n == 1) {  // covers the fully-degenerate single-element case
-          ScaledCopyOffsets<T, T>(pa + a_k[0], float(pb[b_k[0] + b_n[0]]),
-                                  pc + c_n[0], a_m, c_m, alpha, beta,
-                                  row_grain);
-        } else {  // m == 1: copy b, scaled by a's single element.
-          ScaledCopyOffsets<T, T>(pb + b_k[0], float(pa[a_m[0] + a_k[0]]),
-                                  pc + c_m[0], b_n, c_n, alpha, beta,
-                                  row_grain);
-        }
-        break;
-      default:  // kGemm / kBatchedGemm: the generic block/pack pipeline.
-        GemmOffsets<T, T>(pa, pb, pc, a_m, a_k, b_k, b_n, c_m, c_n, alpha,
-                          beta);
-        break;
-    }
+    GemmOffsets<T, T>(a.data() + t.a_batch[i], b.data() + t.b_batch[i],
+                      out.data() + t.c_batch[i], t.a_m, t.a_k, t.b_k, t.b_n,
+                      t.c_m, t.c_n, alpha, beta);
   };
 
-  // Batched inner kernels write disjoint output slices, so they can run
-  // on the pool directly; but when each inner kernel has enough tasks to
-  // cover the pool by itself, inner parallelism balances better than a
-  // few coarse batch tasks, so the batch loop stays serial (the inner
-  // kernels run inline when called from a pool worker). Either path
-  // performs the same per-element arithmetic, so results do not depend
-  // on thread count -- which also makes the choice a legal autotuner
-  // knob (EinsumExecConfig::batch_parallel).
-  const auto batches = static_cast<std::int64_t>(a_batch.size());
-  std::int64_t inner_tasks = 1;
-  switch (cls) {
-    case EinsumClass::kGemv:
-      inner_tasks = ((n == 1 ? m : n) + row_grain - 1) / row_grain;
-      break;
-    case EinsumClass::kGer:
-      inner_tasks = (m + row_grain - 1) / row_grain;
-      break;
-    case EinsumClass::kView:
-      inner_tasks = ((n == 1 ? m : n) + row_grain - 1) / row_grain;
-      break;
-    case EinsumClass::kReduction:
-      inner_tasks = 1;
-      break;
-    default:
-      inner_tasks = GemmTileCount(m, n);
-      break;
-  }
+  // Batched GEMMs write disjoint output slices, so they can run on the
+  // pool directly; but when each GEMM has enough blocks to cover the pool
+  // by itself, block parallelism balances better than a few coarse batch
+  // tasks, so the batch loop stays serial (the GEMMs run inline when
+  // called from a pool worker). Either path performs the same per-element
+  // arithmetic, so results do not depend on thread count -- which also
+  // makes the choice a legal autotuner knob
+  // (EinsumExecConfig::batch_parallel).
+  const auto batches = static_cast<std::int64_t>(t.a_batch.size());
+  const std::int64_t blocks =
+      GemmTileCount(static_cast<std::int64_t>(t.a_m.size()),
+                    static_cast<std::int64_t>(t.b_n.size()));
   const std::int64_t threads = ThreadPool::Global().threads();
   const bool batch_par =
       batches > 1 &&
       (exec != nullptr && exec->batch_parallel >= 0
            ? exec->batch_parallel != 0
-           : batches >= threads || inner_tasks < threads);
+           : batches >= threads || blocks < threads);
   if (batch_par) {
     ParallelFor(batches, 1, run_one);
   } else {

@@ -1,8 +1,8 @@
 // Einstein-summation tensor contraction (the paper's △ operator class).
 //
-// Specs use the paper's notation, e.g. "phi,ibj->phbj". The fast path maps a
-// contraction onto the strided batched GEMM in gemm.hpp; a naive reference
-// path exists for validation.
+// Specs use the paper's notation, e.g. "phi,ibj->phbj". Every contraction
+// runs on the one strided GEMM in gemm.hpp, once per batch index; a naive
+// reference path exists for validation.
 #pragma once
 
 #include <cstdint>
@@ -52,35 +52,28 @@ const EinsumClassInfo& ClassifyEinsum(const EinsumSpec& spec,
                                       const Shape& a_shape,
                                       const Shape& b_shape);
 
-/// Execution-strategy knobs of one contraction dispatch. Every setting is
-/// numerics-free by construction -- each output element is computed start
-/// to finish by one thread in a fixed ascending-k order -- so the online
-/// autotuner (config/autotune.hpp) may pick any of them and results stay
-/// bitwise identical at every thread count.
+/// Execution strategy of one contraction dispatch. It is numerics-free by
+/// construction -- each output element is computed start to finish by one
+/// thread in a fixed ascending-k order -- so the online autotuner
+/// (config/autotune.hpp) may pick either value and results stay bitwise
+/// identical at every thread count.
 struct EinsumExecConfig {
-  /// Parallelize the batch loop (1), the per-GEMM tiles/rows (0), or let
-  /// the built-in heuristic decide (-1).
+  /// Parallelize the batch loop (1), each GEMM's blocks (0), or let the
+  /// built-in heuristic decide (-1).
   int batch_parallel = -1;
-  /// Rows per pool task in the gemv/ger row partition; 0 = default.
-  std::int64_t row_grain = 0;
 };
 
 /// out = alpha * einsum(a, b) + beta * out. `out` must already be shaped with
 /// exactly the spec's output dims (any memory order -- layouts are free).
-/// Classifies via the cache and dispatches through the lowered kernel set.
 template <typename T>
 void EinsumInto(const EinsumSpec& spec, const Tensor<T>& a, const Tensor<T>& b,
                 Tensor<T>& out, float alpha = 1.0f, float beta = 0.0f);
 
-/// EinsumInto with the lowering class chosen by the caller (the graph
-/// executor passes the class ClassifyEinsum derives for the site, the
-/// same lookup that keys its autotune bucket). `cls` must be the site's
-/// derived class, except that kGemm / kBatchedGemm always run the generic
-/// block/pack pipeline -- passing kGemm forces the generic path for any
-/// shape, which is how the bitwise specialized-vs-generic tests and
-/// benches get their baseline -- and kUnclassified classifies on the fly.
-/// `exec`, when non-null, overrides the parallelization heuristics (see
-/// EinsumExecConfig).
+/// EinsumInto with an explicit execution strategy: `exec`, when non-null,
+/// overrides the batch-vs-block parallelism heuristic (see
+/// EinsumExecConfig). The class argument is the one ClassifyEinsum derives
+/// for the site (the graph executor passes it alongside the autotune
+/// bucket it keys); every class runs the same GEMM, so it selects nothing.
 template <typename T>
 void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
                    const Tensor<T>& b, Tensor<T>& out, float alpha = 1.0f,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <vector>
 
 #include "common/threadpool.hpp"
 
@@ -304,145 +303,6 @@ void GemmOffsets(const TIn* a, const TIn* b, TOut* c,
               (t / n_blocks) * kMB, (t % n_blocks) * kNB, lay);
   });
 }
-
-namespace {
-
-// Shared writeback for the specialized kernels -- the exact float-op
-// sequence of GemmBlock's general writeback branch, so a specialized
-// class is bitwise identical to the generic pipeline for any beta.
-template <typename TOut>
-inline void WriteBack(TOut& dst, float acc, float alpha, float beta) {
-  const float prior = beta == 0.0f ? 0.0f : beta * float(dst);
-  dst = TOut(alpha * acc + prior);
-}
-
-}  // namespace
-
-template <typename TIn, typename TOut>
-void GemvOffsets(const TIn* a, const TIn* x, TOut* y,
-                 std::span<const std::int64_t> a_m,
-                 std::span<const std::int64_t> a_k,
-                 std::span<const std::int64_t> x_k,
-                 std::span<const std::int64_t> y_m, float alpha, float beta,
-                 std::int64_t row_grain) {
-  const auto rows = static_cast<std::int64_t>(a_m.size());
-  const auto k_total = static_cast<std::int64_t>(a_k.size());
-  if (rows == 0) return;
-  // Convert the shared vector operand to fp32 once for the whole call
-  // (the generic path gets this from packing); every row re-reading it
-  // through the offset table would pay a table load plus a conversion
-  // per multiply. Same float values, so results are bit-identical.
-  std::vector<float> xf(static_cast<std::size_t>(k_total));
-  for (std::int64_t k = 0; k < k_total; ++k) {
-    xf[static_cast<std::size_t>(k)] =
-        float(x[x_k[static_cast<std::size_t>(k)]]);
-  }
-  ParallelFor(rows, row_grain, [&](std::int64_t r) {
-    const TIn* ar = a + a_m[static_cast<std::size_t>(r)];
-    // One serial ascending-k chain per output element, accumulating
-    // fp32 products from 0.0f -- the same sequence the packed
-    // micro-kernels execute for this element.
-    float acc = 0.0f;
-    for (std::int64_t k = 0; k < k_total; ++k) {
-      acc += float(ar[a_k[static_cast<std::size_t>(k)]]) *
-             xf[static_cast<std::size_t>(k)];
-    }
-    WriteBack(y[y_m[static_cast<std::size_t>(r)]], acc, alpha, beta);
-  });
-}
-
-template <typename TIn, typename TOut>
-void GerOffsets(const TIn* a, const TIn* b, TOut* c,
-                std::span<const std::int64_t> a_m,
-                std::span<const std::int64_t> b_n,
-                std::span<const std::int64_t> c_m,
-                std::span<const std::int64_t> c_n, float alpha, float beta,
-                std::int64_t row_grain) {
-  const auto rows = static_cast<std::int64_t>(a_m.size());
-  const auto cols = static_cast<std::int64_t>(b_n.size());
-  if (rows == 0 || cols == 0) return;
-  // Convert the column vector to fp32 once for the whole call instead of
-  // once per output element (rows x cols conversions otherwise -- the
-  // entire reason the packed pipeline was beating this kernel). Same
-  // float values, so results are bit-identical.
-  std::vector<float> bf(static_cast<std::size_t>(cols));
-  for (std::int64_t n = 0; n < cols; ++n) {
-    bf[static_cast<std::size_t>(n)] =
-        float(b[b_n[static_cast<std::size_t>(n)]]);
-  }
-  const Affine c_aff = DetectAffine(c_n);
-  const bool contiguous = c_aff.yes && c_aff.stride == 1 && cols > 1;
-  ParallelFor(rows, row_grain, [&](std::int64_t r) {
-    const float av = float(a[a_m[static_cast<std::size_t>(r)]]);
-    TOut* crow = c + c_m[static_cast<std::size_t>(r)];
-    if (contiguous && beta == 0.0f) {
-      // Unit-stride output row and no prior term: a pure elementwise
-      // multiply + branch-free convert, which vectorizes. The general
-      // loop below cannot -- the offset-table store is a scatter.
-      TOut* cp = crow + c_n[0];
-      for (std::int64_t n = 0; n < cols; ++n) {
-        float acc = 0.0f;
-        acc += av * bf[static_cast<std::size_t>(n)];
-        cp[n] = TOut(alpha * acc);
-      }
-    } else {
-      for (std::int64_t n = 0; n < cols; ++n) {
-        float acc = 0.0f;
-        acc += av * bf[static_cast<std::size_t>(n)];
-        WriteBack(crow[c_n[static_cast<std::size_t>(n)]], acc, alpha, beta);
-      }
-    }
-  });
-}
-
-template <typename TIn, typename TOut>
-void DotOffsets(const TIn* a, const TIn* b, TOut* c,
-                std::span<const std::int64_t> a_k,
-                std::span<const std::int64_t> b_k, float alpha, float beta) {
-  const auto k_total = static_cast<std::int64_t>(a_k.size());
-  float acc = 0.0f;
-  for (std::int64_t k = 0; k < k_total; ++k) {
-    acc += float(a[a_k[static_cast<std::size_t>(k)]]) *
-           float(b[b_k[static_cast<std::size_t>(k)]]);
-  }
-  WriteBack(c[0], acc, alpha, beta);
-}
-
-template <typename TIn, typename TOut>
-void ScaledCopyOffsets(const TIn* vec, float scalar, TOut* out,
-                       std::span<const std::int64_t> vec_t,
-                       std::span<const std::int64_t> out_t, float alpha,
-                       float beta, std::int64_t row_grain) {
-  const auto rows = static_cast<std::int64_t>(vec_t.size());
-  if (rows == 0) return;
-  ParallelFor(rows, row_grain, [&](std::int64_t r) {
-    float acc = 0.0f;
-    acc += float(vec[vec_t[static_cast<std::size_t>(r)]]) * scalar;
-    WriteBack(out[out_t[static_cast<std::size_t>(r)]], acc, alpha, beta);
-  });
-}
-
-#define XFLOW_INSTANTIATE_LOWERED(TIn, TOut)                                  \
-  template void GemvOffsets<TIn, TOut>(                                       \
-      const TIn*, const TIn*, TOut*, std::span<const std::int64_t>,           \
-      std::span<const std::int64_t>, std::span<const std::int64_t>,           \
-      std::span<const std::int64_t>, float, float, std::int64_t);             \
-  template void GerOffsets<TIn, TOut>(                                        \
-      const TIn*, const TIn*, TOut*, std::span<const std::int64_t>,           \
-      std::span<const std::int64_t>, std::span<const std::int64_t>,           \
-      std::span<const std::int64_t>, float, float, std::int64_t);             \
-  template void DotOffsets<TIn, TOut>(const TIn*, const TIn*, TOut*,          \
-                                      std::span<const std::int64_t>,          \
-                                      std::span<const std::int64_t>, float,   \
-                                      float);                                 \
-  template void ScaledCopyOffsets<TIn, TOut>(                                 \
-      const TIn*, float, TOut*, std::span<const std::int64_t>,                \
-      std::span<const std::int64_t>, float, float, std::int64_t);
-
-XFLOW_INSTANTIATE_LOWERED(Half, Half)
-XFLOW_INSTANTIATE_LOWERED(float, float)
-XFLOW_INSTANTIATE_LOWERED(Half, float)
-#undef XFLOW_INSTANTIATE_LOWERED
 
 template void GemmOffsets<Half, Half>(
     const Half*, const Half*, Half*, std::span<const std::int64_t>,

@@ -40,8 +40,8 @@ TEST(AutotuneMode, ParsesTheEnvKnob) {
 
 TEST(AutotuneBucket, RoundsExtentsUpToPowersOfTwo) {
   const GemmExtents e{.m = 70, .n = 1, .k = 33, .batch = 5};
-  const auto b = BucketOf(EinsumClass::kGemv, e, 2);
-  EXPECT_EQ(b.cls, EinsumClass::kGemv);
+  const auto b = BucketOf(EinsumClass::kBatchedGemm, e, 2);
+  EXPECT_EQ(b.cls, EinsumClass::kBatchedGemm);
   EXPECT_EQ(b.m, 128);
   EXPECT_EQ(b.n, 1);
   EXPECT_EQ(b.k, 64);
@@ -50,38 +50,37 @@ TEST(AutotuneBucket, RoundsExtentsUpToPowersOfTwo) {
   // Shapes in the same bucket share one tuned entry; shapes in different
   // buckets do not.
   const GemmExtents near{.m = 65, .n = 1, .k = 60, .batch = 8};
-  EXPECT_EQ(BucketOf(EinsumClass::kGemv, near, 2), b);
+  EXPECT_EQ(BucketOf(EinsumClass::kBatchedGemm, near, 2), b);
   EXPECT_NE(BucketOf(EinsumClass::kGemm, e, 2), b);
-  EXPECT_NE(BucketOf(EinsumClass::kGemv, e, 4), b);
+  EXPECT_NE(BucketOf(EinsumClass::kBatchedGemm, e, 4), b);
 }
 
-TEST(AutotuneCandidates, HeuristicFirstThenClassSpecificKnobs) {
-  const auto gemv =
-      ExecCandidates(BucketOf(EinsumClass::kGemv,
-                              {.m = 512, .n = 1, .k = 512, .batch = 1}, 4));
-  ASSERT_FALSE(gemv.empty());
-  EXPECT_EQ(gemv.front().batch_parallel, -1);
-  EXPECT_EQ(gemv.front().row_grain, 0);
-  EXPECT_GT(gemv.size(), 1u);  // row-grain variants for the row kernels
-
-  const auto gemm =
-      ExecCandidates(BucketOf(EinsumClass::kGemm,
-                              {.m = 512, .n = 512, .k = 512, .batch = 1}, 4));
-  EXPECT_EQ(gemm.size(), 1u);  // nothing to vary: the tile pipeline
-
+TEST(AutotuneCandidates, HeuristicFirstThenBatchParallelism) {
+  // A single GEMM, degenerate or not, has nothing to vary.
+  for (const GemmExtents& e :
+       {GemmExtents{.m = 512, .n = 512, .k = 512},
+        GemmExtents{.m = 512, .n = 1, .k = 512}}) {
+    const auto gemm = ExecCandidates(BucketOf(EinsumClass::kGemm, e, 4));
+    ASSERT_EQ(gemm.size(), 1u);
+    EXPECT_EQ(gemm.front().batch_parallel, -1);  // the built-in heuristic
+  }
+  // A batch runs its loop in parallel or each GEMM's blocks.
   const auto batched = ExecCandidates(BucketOf(
       EinsumClass::kBatchedGemm, {.m = 64, .n = 64, .k = 64, .batch = 8}, 4));
-  EXPECT_GT(batched.size(), 1u);  // batch-vs-tile parallelism variants
+  ASSERT_EQ(batched.size(), 3u);
+  EXPECT_EQ(batched[0].batch_parallel, -1);
+  EXPECT_EQ(batched[1].batch_parallel, 1);
+  EXPECT_EQ(batched[2].batch_parallel, 0);
 }
 
 TEST(Autotune, ColdTunesOnceThenEveryLookupIsWarm) {
   ResetAutotuneCacheForTesting();
-  const auto bucket = BucketOf(EinsumClass::kGemv,
-                               {.m = 300, .n = 1, .k = 77, .batch = 1}, 4);
+  const auto bucket = BucketOf(EinsumClass::kBatchedGemm,
+                               {.m = 300, .n = 40, .k = 77, .batch = 6}, 4);
   int calls = 0;
   const config::MeasureFn fn = [&](const EinsumExecConfig& cand) {
     ++calls;
-    return cand.row_grain == 256 ? 0.5 : 1.0;  // deterministic "winner"
+    return cand.batch_parallel == 0 ? 0.5 : 1.0;  // deterministic "winner"
   };
 
   const auto before = memstats::Read();
@@ -90,7 +89,7 @@ TEST(Autotune, ColdTunesOnceThenEveryLookupIsWarm) {
   EXPECT_EQ(mid.autotune_measures, before.autotune_measures + 1);
   EXPECT_TRUE(cold.measured);
   EXPECT_GT(calls, 0);
-  EXPECT_EQ(cold.exec.row_grain, 256);  // the measured-fastest candidate
+  EXPECT_EQ(cold.exec.batch_parallel, 0);  // the measured-fastest candidate
 
   const int calls_after_cold = calls;
   const auto warm = Autotune(bucket, fn, AutotuneMode::kMeasure);
@@ -99,21 +98,45 @@ TEST(Autotune, ColdTunesOnceThenEveryLookupIsWarm) {
       << "a warm autotune lookup re-measured";
   EXPECT_EQ(after.autotune_hits, mid.autotune_hits + 1);
   EXPECT_EQ(calls, calls_after_cold);
-  EXPECT_EQ(warm.exec.row_grain, cold.exec.row_grain);
   EXPECT_EQ(warm.exec.batch_parallel, cold.exec.batch_parallel);
 }
 
+TEST(Autotune, SingleCandidateBucketIsCachedUntimed) {
+  // A single GEMM has one candidate, so timing it could only cost set-up
+  // time: the fill caches the heuristic without calling `measure`, and
+  // still counts as the bucket's one fill.
+  ResetAutotuneCacheForTesting();
+  const auto bucket = BucketOf(EinsumClass::kGemm,
+                               {.m = 300, .n = 1, .k = 77, .batch = 1}, 4);
+  const config::MeasureFn never = [](const EinsumExecConfig&) {
+    ADD_FAILURE() << "a single-candidate bucket was timed";
+    return 1.0;
+  };
+  const auto before = memstats::Read();
+  const auto cold = Autotune(bucket, never, AutotuneMode::kMeasure);
+  const auto mid = memstats::Read();
+  EXPECT_FALSE(cold.measured);
+  EXPECT_EQ(cold.exec.batch_parallel, -1);
+  EXPECT_EQ(mid.autotune_measures, before.autotune_measures + 1);
+  EXPECT_EQ(mid.autotune_hits, before.autotune_hits);
+
+  const auto warm = Autotune(bucket, never, AutotuneMode::kMeasure);
+  const auto after = memstats::Read();
+  EXPECT_FALSE(warm.measured);
+  EXPECT_EQ(after.autotune_measures, mid.autotune_measures);
+  EXPECT_EQ(after.autotune_hits, mid.autotune_hits + 1);
+}
+
 TEST(Autotune, OffModeBypassesTheCacheEntirely) {
-  const auto bucket = BucketOf(EinsumClass::kGer,
-                               {.m = 99, .n = 31, .k = 1, .batch = 1}, 4);
+  const auto bucket = BucketOf(EinsumClass::kBatchedGemm,
+                               {.m = 99, .n = 31, .k = 1, .batch = 4}, 4);
   const auto before = memstats::Read();
   const auto entry = Autotune(bucket, nullptr, AutotuneMode::kOff);
   const auto after = memstats::Read();
   EXPECT_EQ(after.autotune_measures, before.autotune_measures);
   EXPECT_EQ(after.autotune_hits, before.autotune_hits);
   EXPECT_FALSE(entry.measured);
-  EXPECT_EQ(entry.exec.batch_parallel, -1);  // the built-in heuristics
-  EXPECT_EQ(entry.exec.row_grain, 0);
+  EXPECT_EQ(entry.exec.batch_parallel, -1);  // the built-in heuristic
 }
 
 TEST(Autotune, MeasureMayReenterTheTuner) {
@@ -122,14 +145,14 @@ TEST(Autotune, MeasureMayReenterTheTuner) {
   // cache nor tune the in-flight bucket twice: another bucket tunes
   // normally, the in-flight one answers with the built-in heuristic.
   ResetAutotuneCacheForTesting();
-  const auto outer = BucketOf(EinsumClass::kGemv,
-                              {.m = 40, .n = 1, .k = 24, .batch = 1}, 4);
-  const auto inner = BucketOf(EinsumClass::kGer,
-                              {.m = 40, .n = 24, .k = 1, .batch = 1}, 4);
+  const auto outer = BucketOf(EinsumClass::kBatchedGemm,
+                              {.m = 40, .n = 24, .k = 24, .batch = 8}, 4);
+  const auto inner = BucketOf(EinsumClass::kBatchedGemm,
+                              {.m = 40, .n = 24, .k = 1, .batch = 4}, 4);
   int inner_calls = 0;
   const config::MeasureFn inner_fn = [&](const EinsumExecConfig& cand) {
     ++inner_calls;
-    return cand.row_grain == 16 ? 0.5 : 1.0;
+    return cand.batch_parallel == 0 ? 0.5 : 1.0;
   };
   config::TunedEntry nested, in_flight;
   bool reentered = false;
@@ -139,28 +162,30 @@ TEST(Autotune, MeasureMayReenterTheTuner) {
       nested = Autotune(inner, inner_fn, AutotuneMode::kMeasure);
       in_flight = Autotune(outer, nullptr, AutotuneMode::kMeasure);
     }
-    return cand.row_grain == 256 ? 0.5 : 1.0;
+    return cand.batch_parallel == 1 ? 0.5 : 1.0;
   };
 
   const auto before = memstats::Read();
   const auto entry = Autotune(outer, outer_fn, AutotuneMode::kMeasure);
   const auto after = memstats::Read();
   EXPECT_TRUE(entry.measured);
-  EXPECT_EQ(entry.exec.row_grain, 256);
+  EXPECT_EQ(entry.exec.batch_parallel, 1);
   EXPECT_TRUE(nested.measured);
-  EXPECT_EQ(nested.exec.row_grain, 16);
+  EXPECT_EQ(nested.exec.batch_parallel, 0);
   EXPECT_GT(inner_calls, 0);
   EXPECT_FALSE(in_flight.measured);  // the built-in heuristic
-  EXPECT_EQ(in_flight.exec.row_grain, 0);
+  EXPECT_EQ(in_flight.exec.batch_parallel, -1);
   // Both buckets tuned exactly once; the in-flight lookup is no hit.
   EXPECT_EQ(after.autotune_measures, before.autotune_measures + 2);
   EXPECT_EQ(after.autotune_hits, before.autotune_hits);
 
   // Both entries were published: later lookups are warm.
-  EXPECT_EQ(Autotune(outer, nullptr, AutotuneMode::kMeasure).exec.row_grain,
-            256);
-  EXPECT_EQ(Autotune(inner, nullptr, AutotuneMode::kMeasure).exec.row_grain,
-            16);
+  EXPECT_EQ(
+      Autotune(outer, nullptr, AutotuneMode::kMeasure).exec.batch_parallel,
+      1);
+  EXPECT_EQ(
+      Autotune(inner, nullptr, AutotuneMode::kMeasure).exec.batch_parallel,
+      0);
   EXPECT_EQ(memstats::Read().autotune_hits, after.autotune_hits + 2);
 }
 

@@ -7,10 +7,10 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/memstats.hpp"
 
 namespace xflow {
@@ -165,30 +165,26 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("natural", "reversed")));
 
 // ---------------------------------------------------------------------
-// Lowering classification (tensor/einsum_class.hpp).
+// Classification (tensor/einsum_class.hpp).
 
-TEST(EinsumClassify, CoversTheTaxonomy) {
+TEST(EinsumClassify, BatchAloneDecidesTheClass) {
   EXPECT_EQ(ClassifyContraction({.m = 8, .n = 8, .k = 8, .batch = 1}),
             EinsumClass::kGemm);
   EXPECT_EQ(ClassifyContraction({.m = 8, .n = 8, .k = 8, .batch = 3}),
             EinsumClass::kBatchedGemm);
-  EXPECT_EQ(ClassifyContraction({.m = 8, .n = 1, .k = 8, .batch = 1}),
-            EinsumClass::kGemv);
-  EXPECT_EQ(ClassifyContraction({.m = 1, .n = 8, .k = 8, .batch = 1}),
-            EinsumClass::kGemv);
-  EXPECT_EQ(ClassifyContraction({.m = 8, .n = 8, .k = 1, .batch = 1}),
-            EinsumClass::kGer);
-  EXPECT_EQ(ClassifyContraction({.m = 1, .n = 1, .k = 8, .batch = 1}),
-            EinsumClass::kReduction);
-  EXPECT_EQ(ClassifyContraction({.m = 8, .n = 1, .k = 1, .batch = 1}),
-            EinsumClass::kView);
-  EXPECT_EQ(ClassifyContraction({.m = 1, .n = 8, .k = 1, .batch = 1}),
-            EinsumClass::kView);
-  EXPECT_EQ(ClassifyContraction({.m = 1, .n = 1, .k = 1, .batch = 1}),
-            EinsumClass::kView);
-  // The batch loop wraps any class: a batched gemv is still a gemv.
+  // Degenerate extents are small GEMMs of the same kernel: a gemv, an
+  // outer product, a dot product and a scaled copy are all kGemm.
+  for (const GemmExtents& e : {GemmExtents{.m = 8, .n = 1, .k = 8},
+                               GemmExtents{.m = 1, .n = 8, .k = 8},
+                               GemmExtents{.m = 8, .n = 8, .k = 1},
+                               GemmExtents{.m = 1, .n = 1, .k = 8},
+                               GemmExtents{.m = 8, .n = 1, .k = 1},
+                               GemmExtents{.m = 1, .n = 1, .k = 1}}) {
+    EXPECT_EQ(ClassifyContraction(e), EinsumClass::kGemm)
+        << e.m << "x" << e.n << "x" << e.k;
+  }
   EXPECT_EQ(ClassifyContraction({.m = 8, .n = 1, .k = 8, .batch = 4}),
-            EinsumClass::kGemv);
+            EinsumClass::kBatchedGemm);
 }
 
 TEST(EinsumClassify, DerivesFromSpecAndShapes) {
@@ -201,11 +197,13 @@ TEST(EinsumClassify, DerivesFromSpecAndShapes) {
   EXPECT_EQ(info.extents.m, 10);
   EXPECT_EQ(info.extents.n, 10);
   EXPECT_EQ(info.extents.k, 8);
-  // Degenerate named extents classify by extent, not by rank: an n-group
-  // of extent 1 is a gemv even though the spec has an n dim.
+  // Extents come from the shapes, not the spec's rank: an n-group of
+  // extent 1 flattens to n == 1.
   auto mk = EinsumSpec::Parse("mk,kn->mn");
-  EXPECT_EQ(ClassifyEinsum(mk, Shape("mk", {9, 17}), Shape("kn", {17, 1})).cls,
-            EinsumClass::kGemv);
+  const auto& gemv =
+      ClassifyEinsum(mk, Shape("mk", {9, 17}), Shape("kn", {17, 1}));
+  EXPECT_EQ(gemv.cls, EinsumClass::kGemm);
+  EXPECT_EQ(gemv.extents.n, 1);
 }
 
 TEST(EinsumClassify, CacheRebuildsNothingOnRepeatLookups) {
@@ -254,14 +252,16 @@ TEST(EinsumErrors, NameTheSpecAndShapes) {
 }
 
 // ---------------------------------------------------------------------
-// Bitwise identity: every specialized class equals the generic
-// block/pack pipeline (forced via EinsumClass::kGemm), at 1/2/8 threads,
-// for Half and float, in natural and reversed (strided-view) layouts.
+// Every shape runs on the one GEMM, degenerate ones included (gemv, outer
+// product, dot product, scaled copy): at 1, 2 and 8 threads and with
+// either batch parallelism the result is bitwise the 1-thread result, for
+// Half and float, in natural and reversed (strided-view) layouts, and it
+// matches the naive reference.
 
 template <typename T>
-void ExpectClassBitwiseEqual(const std::string& spec_str,
-                             const std::map<char, std::int64_t>& extent,
-                             EinsumClass want, bool reversed) {
+void ExpectShapeBitwiseStable(const std::string& spec_str,
+                              const std::map<char, std::int64_t>& extent,
+                              EinsumClass want, bool reversed) {
   auto spec = EinsumSpec::Parse(spec_str);
   auto make = [&](const std::string& dims, std::uint64_t seed) {
     std::vector<DimExt> de;
@@ -283,74 +283,71 @@ void ExpectClassBitwiseEqual(const std::string& spec_str,
   Tensor<T> baseline{out_shape};
   {
     ThreadGuard guard(1);
-    EinsumLowered(spec, EinsumClass::kGemm, a, b, baseline);
+    EinsumInto(spec, a, b, baseline);
   }
-  // Exec-config overrides are numerics-free by contract, so sweep a few.
-  const EinsumExecConfig tile16{.batch_parallel = 0, .row_grain = 16};
-  const EinsumExecConfig batch3{.batch_parallel = 1, .row_grain = 3};
+  const double tolerance = std::is_same_v<T, Half> ? 0.01 : 1e-5;
+  EXPECT_LT(MaxAbsDiff(baseline, EinsumRef(spec, a, b)), tolerance)
+      << spec_str << (reversed ? " reversed" : " natural");
+  // The batch-vs-block choice is numerics-free by contract.
+  const EinsumExecConfig blocks{.batch_parallel = 0};
+  const EinsumExecConfig batch{.batch_parallel = 1};
   for (int threads : {1, 2, 8}) {
     ThreadGuard guard(threads);
     for (const EinsumExecConfig* exec :
-         {static_cast<const EinsumExecConfig*>(nullptr), &tile16, &batch3}) {
-      for (EinsumClass cls : {want, EinsumClass::kGemm}) {
-        Tensor<T> out{out_shape};
-        EinsumLowered(spec, cls, a, b, out, 1.0f, 0.0f, exec);
-        ASSERT_EQ(out.size(), baseline.size());
-        EXPECT_EQ(std::memcmp(out.data(), baseline.data(),
-                              sizeof(T) * static_cast<std::size_t>(out.size())),
-                  0)
-            << spec_str << " cls=" << ToString(cls) << " threads=" << threads
-            << (reversed ? " reversed" : " natural");
-      }
+         {static_cast<const EinsumExecConfig*>(nullptr), &blocks, &batch}) {
+      Tensor<T> out{out_shape};
+      EinsumLowered(spec, want, a, b, out, 1.0f, 0.0f, exec);
+      ASSERT_EQ(out.size(), baseline.size());
+      EXPECT_EQ(std::memcmp(out.data(), baseline.data(),
+                            sizeof(T) * static_cast<std::size_t>(out.size())),
+                0)
+          << spec_str << " threads=" << threads << " batch_parallel="
+          << (exec == nullptr ? -1 : exec->batch_parallel)
+          << (reversed ? " reversed" : " natural");
     }
   }
 }
 
 template <typename T>
-void SweepClassesBitwise(bool reversed) {
-  // gemv, n side degenerate two ways: no n dims at all, and n extent 1.
-  ExpectClassBitwiseEqual<T>("mk,k->m", {{'m', 70}, {'k', 33}},
-                             EinsumClass::kGemv, reversed);
-  ExpectClassBitwiseEqual<T>("mk,kn->mn", {{'m', 70}, {'k', 33}, {'n', 1}},
-                             EinsumClass::kGemv, reversed);
-  // gemv, m side degenerate.
-  ExpectClassBitwiseEqual<T>("k,kn->n", {{'k', 33}, {'n', 70}},
-                             EinsumClass::kGemv, reversed);
-  // Batched gemv (empty batch covered by every spec above).
-  ExpectClassBitwiseEqual<T>("bmk,bk->bm", {{'b', 5}, {'m', 40}, {'k', 17}},
-                             EinsumClass::kGemv, reversed);
-  // ger / outer product (k == 1 two ways).
-  ExpectClassBitwiseEqual<T>("m,n->mn", {{'m', 40}, {'n', 23}},
-                             EinsumClass::kGer, reversed);
-  ExpectClassBitwiseEqual<T>("mk,kn->mn", {{'m', 40}, {'k', 1}, {'n', 23}},
-                             EinsumClass::kGer, reversed);
-  // Pure reduction (m == n == 1) and its batched form.
-  ExpectClassBitwiseEqual<T>("mk,kn->mn", {{'m', 1}, {'k', 501}, {'n', 1}},
-                             EinsumClass::kReduction, reversed);
-  ExpectClassBitwiseEqual<T>("bk,bk->b", {{'b', 6}, {'k', 91}},
-                             EinsumClass::kReduction, reversed);
-  // Transpose-free view (k == 1 and one free side), both orientations
-  // plus the fully-degenerate single element.
-  ExpectClassBitwiseEqual<T>("mk,kn->mn", {{'m', 120}, {'k', 1}, {'n', 1}},
-                             EinsumClass::kView, reversed);
-  ExpectClassBitwiseEqual<T>("mk,kn->mn", {{'m', 1}, {'k', 1}, {'n', 120}},
-                             EinsumClass::kView, reversed);
-  ExpectClassBitwiseEqual<T>("mk,kn->mn", {{'m', 1}, {'k', 1}, {'n', 1}},
-                             EinsumClass::kView, reversed);
+void SweepShapesBitwise(bool reversed) {
+  constexpr auto kGemm = EinsumClass::kGemm;
+  constexpr auto kBatched = EinsumClass::kBatchedGemm;
+  // Matrix x vector, n side degenerate two ways: no n dims at all, and n
+  // extent 1.
+  ExpectShapeBitwiseStable<T>("mk,k->m", {{'m', 70}, {'k', 33}}, kGemm,
+                              reversed);
+  ExpectShapeBitwiseStable<T>("mk,kn->mn", {{'m', 70}, {'k', 33}, {'n', 1}},
+                              kGemm, reversed);
+  // Vector x matrix (m side degenerate).
+  ExpectShapeBitwiseStable<T>("k,kn->n", {{'k', 33}, {'n', 70}}, kGemm,
+                              reversed);
+  // Batched matrix x vector (empty batch covered by every other spec).
+  ExpectShapeBitwiseStable<T>("bmk,bk->bm", {{'b', 5}, {'m', 40}, {'k', 17}},
+                              kBatched, reversed);
+  // Outer product (k == 1 two ways).
+  ExpectShapeBitwiseStable<T>("m,n->mn", {{'m', 40}, {'n', 23}}, kGemm,
+                              reversed);
+  ExpectShapeBitwiseStable<T>("mk,kn->mn", {{'m', 40}, {'k', 1}, {'n', 23}},
+                              kGemm, reversed);
+  // Dot product (m == n == 1) and its batched form.
+  ExpectShapeBitwiseStable<T>("mk,kn->mn", {{'m', 1}, {'k', 501}, {'n', 1}},
+                              kGemm, reversed);
+  ExpectShapeBitwiseStable<T>("bk,bk->b", {{'b', 6}, {'k', 91}}, kBatched,
+                              reversed);
+  // Scaled copy (k == 1 and one free side), both orientations plus the
+  // single element.
+  ExpectShapeBitwiseStable<T>("mk,kn->mn", {{'m', 120}, {'k', 1}, {'n', 1}},
+                              kGemm, reversed);
+  ExpectShapeBitwiseStable<T>("mk,kn->mn", {{'m', 1}, {'k', 1}, {'n', 120}},
+                              kGemm, reversed);
+  ExpectShapeBitwiseStable<T>("mk,kn->mn", {{'m', 1}, {'k', 1}, {'n', 1}},
+                              kGemm, reversed);
 }
 
-TEST(EinsumLoweredBitwise, FloatNaturalLayouts) {
-  SweepClassesBitwise<float>(false);
-}
-TEST(EinsumLoweredBitwise, FloatReversedLayouts) {
-  SweepClassesBitwise<float>(true);
-}
-TEST(EinsumLoweredBitwise, HalfNaturalLayouts) {
-  SweepClassesBitwise<Half>(false);
-}
-TEST(EinsumLoweredBitwise, HalfReversedLayouts) {
-  SweepClassesBitwise<Half>(true);
-}
+TEST(EinsumBitwise, FloatNaturalLayouts) { SweepShapesBitwise<float>(false); }
+TEST(EinsumBitwise, FloatReversedLayouts) { SweepShapesBitwise<float>(true); }
+TEST(EinsumBitwise, HalfNaturalLayouts) { SweepShapesBitwise<Half>(false); }
+TEST(EinsumBitwise, HalfReversedLayouts) { SweepShapesBitwise<Half>(true); }
 
 TEST(EinsumErrors, RejectOutputFreeDimsThatDoNotMatchTheOperands) {
   // The output's m and n dims are indexed with the operands' extents, so
@@ -363,31 +360,20 @@ TEST(EinsumErrors, RejectOutputFreeDimsThatDoNotMatchTheOperands) {
                             Shape("xn", {4, 8}), Shape("my", {4, 8})};
   for (const Shape& shape : bad_outs) {
     TensorF out(shape);
-    for (EinsumClass cls : {EinsumClass::kUnclassified, EinsumClass::kGemm}) {
-      try {
-        EinsumLowered<float>(spec, cls, a, b, out);
-        FAIL() << "expected InvalidArgument for out=" << ToString(shape);
-      } catch (const InvalidArgument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("mk,kn->mn"), std::string::npos) << what;
-        EXPECT_NE(what.find("a=[m:4,k:8]"), std::string::npos) << what;
-        EXPECT_NE(what.find("b=[k:8,n:8]"), std::string::npos) << what;
-        EXPECT_NE(what.find("out=["), std::string::npos) << what;
-      }
+    try {
+      EinsumInto<float>(spec, a, b, out);
+      FAIL() << "expected InvalidArgument for out=" << ToString(shape);
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("mk,kn->mn"), std::string::npos) << what;
+      EXPECT_NE(what.find("a=[m:4,k:8]"), std::string::npos) << what;
+      EXPECT_NE(what.find("b=[k:8,n:8]"), std::string::npos) << what;
+      EXPECT_NE(what.find("out=["), std::string::npos) << what;
     }
   }
   // Any memory order of the right dims is accepted.
   TensorF transposed(Shape("nm", {8, 4}));
   EXPECT_NO_THROW(EinsumInto<float>(spec, a, b, transposed));
-}
-
-TEST(EinsumLowered, RejectsAMismatchedSpecializedClass) {
-  auto spec = EinsumSpec::Parse("mk,kn->mn");
-  auto a = TensorF::Random(Shape("mk", {8, 8}), 1);
-  auto b = TensorF::Random(Shape("kn", {8, 8}), 2);
-  auto out = TensorF{Shape("mn", {8, 8})};
-  EXPECT_THROW(EinsumLowered(spec, EinsumClass::kGemv, a, b, out),
-               InvalidArgument);
 }
 
 }  // namespace

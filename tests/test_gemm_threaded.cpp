@@ -80,10 +80,15 @@ struct Extents {
 // slices, with an 8 x 32 register tile on AVX-512 (8 x 8 on AVX, 8 x 4
 // otherwise); the GEMM before it used 64 x 96 blocks, 256-deep slices and
 // an 8 x 16 tile. The ragged cases straddle every one of those boundaries.
+// Every contraction shape runs here, so the degenerate ones are cases too:
+// m = 1 and n = 1 (matrix x vector), m = n = 1 (a dot product), k = 1 (an
+// outer product, and with a free side of 1 a scaled copy), and 1 x 1 x 1.
 const Extents kCases[] = {
-    {1, 1, 1},       {3, 5, 7},       {4, 16, 1},     {64, 96, 256},
-    {65, 97, 257},   {63, 95, 255},   {130, 50, 40},  {30, 200, 33},
+    {1, 1, 1},       {3, 5, 7},       {4, 16, 1},      {64, 96, 256},
+    {65, 97, 257},   {63, 95, 255},   {130, 50, 40},   {30, 200, 33},
     {128, 192, 64},  {17, 113, 300},  {191, 255, 127}, {193, 257, 129},
+    {1, 70, 33},     {70, 1, 33},     {1, 1, 501},     {120, 1, 1},
+    {1, 120, 1},
 };
 
 class GemmThreadedDeterminism : public ::testing::Test {

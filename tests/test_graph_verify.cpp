@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -713,18 +714,19 @@ TEST(VerifyReporting, OpRefNamesOpIndexAndKind) {
 
 TEST(VerifyReporting, EnvGateParsesCommonSpellings) {
   for (const char* on : {"1", "true", "TRUE", "on", "On", "yes"}) {
-    EXPECT_TRUE(VerifyEnvEnabled(on, false)) << on;
+    EXPECT_EQ(VerifyEnvEnabled(on, false), true) << on;
   }
   for (const char* off : {"0", "false", "OFF", "off", "no", "No"}) {
-    EXPECT_FALSE(VerifyEnvEnabled(off, true)) << off;
+    EXPECT_EQ(VerifyEnvEnabled(off, true), false) << off;
   }
-  // Unset and unparsable fall back to the build-type default.
-  EXPECT_TRUE(VerifyEnvEnabled(nullptr, true));
-  EXPECT_FALSE(VerifyEnvEnabled(nullptr, false));
-  EXPECT_TRUE(VerifyEnvEnabled("", true));
-  EXPECT_FALSE(VerifyEnvEnabled("", false));
-  EXPECT_TRUE(VerifyEnvEnabled("garbage", true));
-  EXPECT_FALSE(VerifyEnvEnabled("garbage", false));
+  // Unset falls back to the build-type default.
+  EXPECT_EQ(VerifyEnvEnabled(nullptr, true), true);
+  EXPECT_EQ(VerifyEnvEnabled(nullptr, false), false);
+  EXPECT_EQ(VerifyEnvEnabled("", true), true);
+  EXPECT_EQ(VerifyEnvEnabled("", false), false);
+  // Unrecognized: PreflightVerifyEnabled warns and keeps the default.
+  EXPECT_EQ(VerifyEnvEnabled("garbage", true), std::nullopt);
+  EXPECT_EQ(VerifyEnvEnabled("garbage", false), std::nullopt);
 }
 
 }  // namespace

@@ -125,10 +125,9 @@ TEST(WholeStack, BitwiseMatchesOwningCausal) {
 }
 
 TEST(WholeStack, BitwiseMatchesOwningSingleToken) {
-  // b = j = k = 1 degenerates the GEMMs: per layer the two-input
-  // contractions classify as 7 gemv, 3 ger, 2 reduction and 4 view
-  // sites, so every specialized kernel class runs through the
-  // executor's dispatch.
+  // b = j = k = 1 degenerates the GEMMs into matrix x vector, outer
+  // product, dot product and scaled-copy shapes, all of which run
+  // through the executor's one contraction dispatch.
   for (const int threads : {1, 8}) {
     for (const bool fused : {true, false}) {
       EncoderConfig cfg = TestConfig(fused);
