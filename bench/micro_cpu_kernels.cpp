@@ -283,8 +283,8 @@ BENCHMARK(BM_MemoryPlanner);
 
 void BM_GraphVerify(benchmark::State& state) {
   // Full three-arg verification (graph + plan + options) of the
-  // BERT-base encoder: the executor's pre-flight runs this, so it has
-  // to stay cheap enough to leave on in every Debug/test run (<1ms).
+  // BERT-base encoder: every executor runs this once at construction,
+  // in every build, so it is part of each plan's set-up time.
   const auto g = xflow::graph::BuildEncoder(
       xflow::graph::ModelDims::BertBase(),
       xflow::graph::AlgebraicFusion::kQKV, /*include_backward=*/true);

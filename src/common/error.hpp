@@ -1,6 +1,7 @@
 // Error handling utilities: contract checks that throw with source location.
 #pragma once
 
+#include <concepts>
 #include <source_location>
 #include <stdexcept>
 #include <string>
@@ -37,6 +38,16 @@ inline void require(
     bool cond, std::string_view msg,
     const std::source_location& loc = std::source_location::current()) {
   if (!cond) detail::fail("invalid argument", msg, loc);
+}
+
+/// require() for a message that costs an allocation to build: `message`
+/// (typically a lambda returning StrFormat(...)) runs only when `cond` is
+/// false, so a passing check on a hot path formats nothing.
+template <std::invocable Message>
+inline void require(
+    bool cond, const Message& message,
+    const std::source_location& loc = std::source_location::current()) {
+  if (!cond) detail::fail("invalid argument", message(), loc);
 }
 
 }  // namespace xflow

@@ -77,13 +77,13 @@ ShapeBucket BucketOf(EinsumClass cls, const GemmExtents& extents,
 }
 
 std::vector<EinsumExecConfig> ExecCandidates(const ShapeBucket& bucket) {
-  std::vector<EinsumExecConfig> out;
-  out.push_back(EinsumExecConfig{});  // the built-in heuristic
+  // The heuristic always resolves a batch to one of the two explicit
+  // strategies, so listing it too would time one of them twice.
   if (bucket.batch > 1) {
-    out.push_back(EinsumExecConfig{.batch_parallel = 1});
-    out.push_back(EinsumExecConfig{.batch_parallel = 0});
+    return {EinsumExecConfig{.batch_parallel = 1},
+            EinsumExecConfig{.batch_parallel = 0}};
   }
-  return out;
+  return {EinsumExecConfig{}};  // the built-in heuristic
 }
 
 TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
@@ -106,9 +106,8 @@ TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
     }
   }
 
-  TunedEntry entry;
+  TunedEntry entry;  // the built-in heuristic unless a timing pass runs
   const auto candidates = ExecCandidates(bucket);
-  entry.exec = candidates.front();
   // A lone candidate wins untimed: running it would only cost set-up time.
   if (measure && candidates.size() > 1) {
     try {

@@ -73,20 +73,19 @@ using MeasureFn = std::function<double(const EinsumExecConfig&)>;
 /// The cached entry for the bucket, tuning on first call (kOff bypasses
 /// the cache entirely). With a non-null `measure` and more than one
 /// candidate, each candidate strategy is timed and the fastest wins;
-/// otherwise the first candidate (the built-in heuristic) is cached
-/// untimed. Cache fills, timed or not, are metered via
-/// memstats::autotune_measures, warm lookups via autotune_hits. The cache
-/// lock is not held while tuning, so `measure` may re-enter Autotune; a
-/// lookup of a bucket whose tuning is still in flight (on any thread)
-/// returns the built-in heuristic without waiting or counting.
+/// otherwise the built-in heuristic is cached untimed. Cache fills, timed
+/// or not, are metered via memstats::autotune_measures, warm lookups via
+/// autotune_hits. The cache lock is not held while tuning, so `measure`
+/// may re-enter Autotune; a lookup of a bucket whose tuning is still in
+/// flight (on any thread) returns the built-in heuristic without waiting
+/// or counting.
 TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
                     AutotuneMode mode);
 TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure);
 
 /// The deterministic list of execution-strategy candidates the tuner
-/// measures for a bucket, best-guess first: the heuristic alone for a
-/// single GEMM, plus batch-loop and block parallelism for a batch (exposed
-/// for tests).
+/// measures for a bucket: the heuristic alone for a single GEMM, and
+/// batch-loop then block parallelism for a batch (exposed for tests).
 std::vector<EinsumExecConfig> ExecCandidates(const ShapeBucket& bucket);
 
 /// Drops every cached entry (tests and the cold-vs-warm bench).

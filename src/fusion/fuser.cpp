@@ -133,7 +133,7 @@ FusedKernel MakeKernel(const DataflowGraph& g, std::vector<int> group,
 
   const std::set<int> in_group(k.op_indices.begin(), k.op_indices.end());
   for (const auto& t : produced) {
-    const auto consumers = g.ConsumersOf(t);
+    const auto& consumers = g.ConsumersOf(t);
     const bool consumed_outside =
         std::any_of(consumers.begin(), consumers.end(),
                     [&](int c) { return !in_group.contains(c); });

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -44,15 +43,25 @@ Tensor<T> Relabeled(const Tensor<T>& t, const std::string& names) {
 char NormDim(const OpNode& op) {
   const auto& dims = op.kind == OpKind::kLayerNormDW ? op.independent_dims
                                                      : op.reduction_dims;
-  require(!dims.empty(), StrFormat("op '%s' has no normalization dim",
-                                   op.name.c_str()));
+  require(!dims.empty(), [&] {
+    return StrFormat("op '%s' has no normalization dim", op.name.c_str());
+  });
   return dims.front().name;
 }
 
 char ReduceDim(const OpNode& op) {
-  require(!op.reduction_dims.empty(),
-          StrFormat("op '%s' has no reduction dim", op.name.c_str()));
+  require(!op.reduction_dims.empty(), [&] {
+    return StrFormat("op '%s' has no reduction dim", op.name.c_str());
+  });
   return op.reduction_dims.front().name;
+}
+
+/// Throws InvalidArgument listing every issue unless `report` is clean.
+void RequirePreflight(const VerifyReport& report) {
+  require(report.ok(), [&] {
+    return StrFormat("graph executor pre-flight failed: %s",
+                     report.Summary().c_str());
+  });
 }
 
 }  // namespace
@@ -68,6 +77,9 @@ GraphExecutorT<T>::GraphExecutorT(DataflowGraph graph, const MemoryPlan* plan,
           "executor needs a memory plan and a workspace");
   require(workspace_->capacity() >= plan_->PeakBytes(),
           "workspace is smaller than the plan's peak bytes");
+  // The graph, the plan and its options are fixed from here on, so one
+  // full verification covers every later pass.
+  RequirePreflight(Verify(graph_, *plan_, plan_->options()));
   BuildBindings();
   BuildSchedule();
 }
@@ -85,9 +97,10 @@ void GraphExecutorT<T>::BuildBindings() {
     if (p.elem_bytes == sizeof(T)) {
       bound_.emplace(name, workspace_->ViewAt<T>(p.offset, node.shape));
     } else {
-      require(p.elem_bytes == sizeof(float),
-              StrFormat("container '%s' has unsupported element width",
-                        name.c_str()));
+      require(p.elem_bytes == sizeof(float), [&] {
+        return StrFormat("container '%s' has unsupported element width",
+                         name.c_str());
+      });
       stats_.emplace(name, workspace_->ViewAt<float>(p.offset, node.shape));
     }
   }
@@ -105,8 +118,10 @@ void GraphExecutorT<T>::BuildBindings() {
     Shape shape{std::move(dims)};
     require(static_cast<std::size_t>(shape.num_elements()) * sizeof(T) ==
                 alias.bytes,
-            StrFormat("group '%s' does not span its members",
-                      g.name.c_str()));
+            [&] {
+              return StrFormat("group '%s' does not span its members",
+                               g.name.c_str());
+            });
     bound_.emplace(g.name, workspace_->ViewAt<T>(alias.offset, shape));
   }
 }
@@ -129,22 +144,25 @@ void GraphExecutorT<T>::BuildSchedule() {
     if (op.kind == OpKind::kScaledSoftmax || op.kind == OpKind::kDropout) {
       if (!op.recompute_of.empty()) {
         const auto it = seed_by_name.find(op.recompute_of);
-        require(it != seed_by_name.end(),
-                StrFormat("recompute clone '%s' precedes its original '%s'",
-                          op.name.c_str(), op.recompute_of.c_str()));
+        require(it != seed_by_name.end(), [&] {
+          return StrFormat("recompute clone '%s' precedes its original '%s'",
+                           op.name.c_str(), op.recompute_of.c_str());
+        });
         dropout_seed_[idx] = it->second;
       } else {
-        require(next_seed < options_.dropout_seeds.size(),
-                StrFormat("no dropout seed for op '%s' (provide one per "
-                          "dropout-bearing op, in graph order)",
-                          op.name.c_str()));
+        require(next_seed < options_.dropout_seeds.size(), [&] {
+          return StrFormat("no dropout seed for op '%s' (provide one per "
+                           "dropout-bearing op, in graph order)",
+                           op.name.c_str());
+        });
         dropout_seed_[idx] = options_.dropout_seeds[next_seed++];
         seed_by_name[op.name] = dropout_seed_[idx];
       }
     }
     if (op.kind != OpKind::kContraction) continue;
-    require(!op.einsum.empty(),
-            StrFormat("contraction '%s' has no einsum spec", op.name.c_str()));
+    require(!op.einsum.empty(), [&] {
+      return StrFormat("contraction '%s' has no einsum spec", op.name.c_str());
+    });
     specs_.emplace(idx, EinsumSpec::Parse(op.einsum));
     ContractionOperands operands;
     if (op.inputs.size() == 2) {
@@ -312,18 +330,21 @@ const PlanGroup* GraphExecutorT<T>::GroupMatching(
 template <typename T>
 void GraphExecutorT<T>::Bind(const std::string& name, const Tensor<T>& tensor,
                              bool writable) {
-  require(graph_.HasTensor(name),
-          StrFormat("graph has no container '%s'", name.c_str()));
+  require(graph_.HasTensor(name), [&] {
+    return StrFormat("graph has no container '%s'", name.c_str());
+  });
   // Kernels address operands by dim name, so any memory order works; a
   // matching element count alone would let a kernel walk past the end.
   const Shape& want = graph_.tensor(name).shape;
   const Shape& got = tensor.shape();
   require(std::is_permutation(got.dims().begin(), got.dims().end(),
                               want.dims().begin(), want.dims().end()),
-          StrFormat("bound '%s' is %s, but the graph container is %s (the "
-                    "same dims and extents, in any order)",
-                    name.c_str(), ToString(got).c_str(),
-                    ToString(want).c_str()));
+          [&] {
+            return StrFormat("bound '%s' is %s, but the graph container is "
+                             "%s (the same dims and extents, in any order)",
+                             name.c_str(), ToString(got).c_str(),
+                             ToString(want).c_str());
+          });
   // Stored as an aliasing view: never copied, and never written unless
   // bound writable (enforced at dispatch through the writable_ flag).
   bound_.insert_or_assign(
@@ -357,10 +378,11 @@ void GraphExecutorT<T>::BindTokens(const std::vector<std::int32_t>& tokens) {
 template <typename T>
 Tensor<T>& GraphExecutorT<T>::View(const std::string& name) {
   const auto it = bound_.find(name);
-  require(it != bound_.end(),
-          StrFormat("container '%s' is not planned and not bound -- bind "
-                    "weights and graph inputs with BindInput/BindOutput",
-                    name.c_str()));
+  require(it != bound_.end(), [&] {
+    return StrFormat("container '%s' is not planned and not bound -- bind "
+                     "weights and graph inputs with BindInput/BindOutput",
+                     name.c_str());
+  });
   return it->second;
 }
 
@@ -368,10 +390,11 @@ template <typename T>
 Tensor<T>& GraphExecutorT<T>::MutableView(const std::string& name) {
   Tensor<T>& t = View(name);
   const auto w = writable_.find(name);
-  require(w == writable_.end() || w->second,
-          StrFormat("op writes read-only external container '%s' (bind it "
-                    "with BindOutput)",
-                    name.c_str()));
+  require(w == writable_.end() || w->second, [&] {
+    return StrFormat("op writes read-only external container '%s' (bind it "
+                     "with BindOutput)",
+                     name.c_str());
+  });
   return t;
 }
 
@@ -381,9 +404,10 @@ TensorF& GraphExecutorT<T>::StatView(const std::string& name) {
     return View(name);
   } else {
     const auto it = stats_.find(name);
-    require(it != stats_.end(),
-            StrFormat("container '%s' is not a planned statistic",
-                      name.c_str()));
+    require(it != stats_.end(), [&] {
+      return StrFormat("container '%s' is not a planned statistic",
+                       name.c_str());
+    });
     return it->second;
   }
 }
@@ -431,22 +455,17 @@ VerifyReport GraphExecutorT<T>::VerifyBindingsInRange(
 }
 
 template <typename T>
-void GraphExecutorT<T>::MaybeVerify(int begin_op, int end_op, bool* pending) {
-  if (!*pending || !PreflightVerifyEnabled()) return;
-  VerifyReport report = Verify(graph_, *plan_, plan_->options());
-  VerifyReport bindings =
-      VerifyBindingsInRange(begin_op, end_op, /*warn_unused=*/false);
-  report.issues.insert(report.issues.end(),
-                       std::make_move_iterator(bindings.issues.begin()),
-                       std::make_move_iterator(bindings.issues.end()));
-  require(report.ok(), StrFormat("graph executor pre-flight failed: %s",
-                                 report.Summary().c_str()));
+void GraphExecutorT<T>::MaybeVerifyBindings(int begin_op, int end_op,
+                                            bool* pending) {
+  if (!*pending) return;
+  RequirePreflight(
+      VerifyBindingsInRange(begin_op, end_op, /*warn_unused=*/false));
   *pending = false;  // clean until a bind adds or re-roles a container
 }
 
 template <typename T>
 void GraphExecutorT<T>::Forward() {
-  MaybeVerify(0, backward_begin_, &forward_preflight_pending_);
+  MaybeVerifyBindings(0, backward_begin_, &forward_preflight_pending_);
   forward_done_ = false;  // a failed run leaves partial activations
   RunRange(0, backward_begin_step_);
   forward_done_ = true;
@@ -457,8 +476,8 @@ void GraphExecutorT<T>::Backward() {
   require(forward_done_,
           "Backward() needs a completed Forward() since construction or the "
           "last Backward(): backward reuses the saved activations' bytes");
-  MaybeVerify(backward_begin_, static_cast<int>(graph_.ops().size()),
-              &backward_preflight_pending_);
+  MaybeVerifyBindings(backward_begin_, static_cast<int>(graph_.ops().size()),
+                      &backward_preflight_pending_);
   forward_done_ = false;
   RunRange(backward_begin_step_, static_cast<int>(steps_.size()));
 }
@@ -665,9 +684,12 @@ void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
       // Stacked projection bias (the AIB site): the last input is the
       // stacked bias; member blocks are presented under the first
       // member's dim names, exactly like the hand-wired layer's renamed
-      // views, so the bias's stack dim lines up for every block.
-      require(op.outputs.size() == 3 && op.inputs.size() == 4,
-              StrFormat("unsupported bias arity on '%s'", op.name.c_str()));
+      // views, so the bias's stack dim lines up for every block. Each
+      // block gets its slice of the bias through BiasForward, the
+      // reference layer's own kernel, fused schedule or not.
+      require(op.outputs.size() == 3 && op.inputs.size() == 4, [&] {
+        return StrFormat("unsupported bias arity on '%s'", op.name.c_str());
+      });
       const Tensor<T>& stacked_bias = View(op.inputs.back());
       const std::string names = View(op.inputs[0]).shape().names();
       std::array<Tensor<T>, 3> in;
@@ -677,18 +699,13 @@ void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
         out[s] = Relabeled(MutableView(op.outputs[s]), names);
       }
       const char stack_dim = stacked_bias.shape().dims().front().name;
-      if (options_.use_fused_kernels) {
-        ops::AttnInputBias<T>({&in[0], &in[1], &in[2]}, stacked_bias,
-                              stack_dim, {&out[0], &out[1], &out[2]});
-      } else {
-        std::int64_t start = 0;
-        for (std::size_t s = 0; s < 3; ++s) {
-          const std::int64_t count = in[s].shape().dims().front().extent;
-          ops::BiasForward(in[s],
-                           stacked_bias.SliceViewDim(stack_dim, start, count),
-                           out[s]);
-          start += count;
-        }
+      std::int64_t start = 0;
+      for (std::size_t s = 0; s < 3; ++s) {
+        const std::int64_t count = in[s].shape().dims().front().extent;
+        ops::BiasForward(in[s],
+                         stacked_bias.SliceViewDim(stack_dim, start, count),
+                         out[s]);
+        start += count;
       }
       return;
     }
@@ -738,10 +755,11 @@ void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
       }
       // Stacked bias gradient (the BAIB site).
       const PlanGroup* g = GroupMatching(op.inputs, 0, op.inputs.size());
-      require(g != nullptr && op.inputs.size() == 3,
-              StrFormat("bias dW '%s' has multiple inputs but no stacked "
-                        "group",
-                        op.name.c_str()));
+      require(g != nullptr && op.inputs.size() == 3, [&] {
+        return StrFormat("bias dW '%s' has multiple inputs but no stacked "
+                         "group",
+                         op.name.c_str());
+      });
       Tensor<T>& d_bias = MutableView(op.outputs[0]);
       if (options_.use_fused_kernels) {
         const std::string names = View(op.inputs[0]).shape().names();

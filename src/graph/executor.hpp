@@ -89,10 +89,13 @@ struct ExecutorOptions {
 };
 
 /// Interprets a DataflowGraph over a planned Workspace slab. `plan` and
-/// `workspace` (typically a StackArenaT's) must outlive the executor and
-/// the workspace must already be reserved to plan->PeakBytes(). Throws
-/// InvalidArgument naming any declared fused span that is not a run of
-/// consecutive ops fusion::LaunchOf recognizes.
+/// `workspace` (typically a StackArenaT's) must outlive the executor, the
+/// plan must stay unchanged, and the workspace must already be reserved
+/// to plan->PeakBytes(). The constructor's pre-flight runs
+/// Verify(graph, *plan, plan->options()) once, in every build, and throws
+/// InvalidArgument with the report's summary on any error; it also throws
+/// naming any declared fused span that is not a run of consecutive ops
+/// fusion::LaunchOf recognizes.
 template <typename T>
 class GraphExecutorT {
  public:
@@ -164,12 +167,12 @@ class GraphExecutorT {
   /// has the container's dims and extents.
   void Bind(const std::string& name, const Tensor<T>& tensor, bool writable);
   void BuildStepDeps();
-  /// Pre-flight: when PreflightVerifyEnabled() and a container was newly
-  /// bound or changed role (read-only vs writable) since the last
-  /// successful check of this pass, re-verify (graph, plan)
-  /// against plan->options() plus the bindings the ops in [begin_op,
-  /// end_op) touch, and throw InvalidArgument on any error.
-  void MaybeVerify(int begin_op, int end_op, bool* pending);
+  /// Per-pass pre-flight: when a container was newly bound or changed
+  /// role (read-only vs writable) since the last successful check of this
+  /// pass, check the bindings the ops in [begin_op, end_op) touch and
+  /// throw InvalidArgument on any error. The graph and plan, verified at
+  /// construction, cannot have changed since.
+  void MaybeVerifyBindings(int begin_op, int end_op, bool* pending);
   [[nodiscard]] VerifyReport VerifyBindingsInRange(int begin_op, int end_op,
                                                    bool warn_unused) const;
   void RunRange(int begin_step, int end_step);
@@ -229,9 +232,9 @@ class GraphExecutorT {
   RunCtx* run_ = nullptr;
   int backward_begin_ = 0;       // op index
   int backward_begin_step_ = 0;  // step index
-  // Re-verify before the next Forward/Backward (set on construction and
-  // whenever a bind adds a container or changes its role, cleared per pass
-  // on a clean pre-flight).
+  // Re-check bindings before the next Forward/Backward (set on
+  // construction and whenever a bind adds a container or changes its
+  // role, cleared per pass on a clean check).
   bool forward_preflight_pending_ = true;
   bool backward_preflight_pending_ = true;
   // A Forward completed and no Backward has run since (Backward's guard).

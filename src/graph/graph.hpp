@@ -68,7 +68,8 @@ class DataflowGraph {
     return tensors_;
   }
   [[nodiscard]] const OpNode& op(const std::string& name) const;
-  /// Index of the op named `name`, or -1 when the graph has none.
+  /// Index of the op named `name` (the first, should AddOpUnchecked have
+  /// repeated it), or -1 when the graph has none.
   [[nodiscard]] int OpIndex(const std::string& name) const;
 
   /// Index of the first backward op (ops().size() for forward-only
@@ -80,8 +81,9 @@ class DataflowGraph {
 
   /// Index of the op producing `tensor_name`, or -1 for graph inputs.
   [[nodiscard]] int ProducerOf(const std::string& tensor_name) const;
-  /// Indices of ops consuming `tensor_name`.
-  [[nodiscard]] std::vector<int> ConsumersOf(
+  /// Indices of ops consuming `tensor_name`, ascending, each op once
+  /// however often it reads the tensor (empty for unknown names).
+  [[nodiscard]] const std::vector<int>& ConsumersOf(
       const std::string& tensor_name) const;
 
   /// Total elements read by an op (the "Input (1e6)" column of Table III).
@@ -92,7 +94,15 @@ class DataflowGraph {
  private:
   std::map<std::string, TensorNode> tensors_;
   std::vector<OpNode> ops_;
-  std::map<std::string, int> producer_;  // tensor -> op index
+  // Edge and name indexes, kept in step with ops_ so the lookups above
+  // never scan the op list (planner and verifier call them per container).
+  std::map<std::string, int> producer_;                // tensor -> op index
+  std::map<std::string, std::vector<int>> consumers_;  // tensor -> op indices
+  std::map<std::string, int> op_index_;                // op name -> index
+
+  /// Indexes `op`'s inputs and name at index ops_.size(), then appends it
+  /// (callers record its outputs in producer_).
+  void Append(OpNode op);
 };
 
 }  // namespace xflow::graph

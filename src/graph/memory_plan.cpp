@@ -136,7 +136,7 @@ MemoryPlan PlanMemory(const DataflowGraph& graph,
     const int producer = graph.ProducerOf(name);
     const int first =
         producer < 0 ? -1 : op_span[static_cast<std::size_t>(producer)].first;
-    const auto consumers = graph.ConsumersOf(name);
+    const auto& consumers = graph.ConsumersOf(name);
     int last = -1;
     for (int c : consumers) {
       last = std::max(last, op_span[static_cast<std::size_t>(c)].second);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <climits>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
@@ -659,7 +657,7 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
             ? -1
             : (expanded ? op_span[static_cast<std::size_t>(producer)].first
                         : producer);
-    const auto consumers = g.ConsumersOf(name);
+    const auto& consumers = g.ConsumersOf(name);
     int last = -1;
     for (int c : consumers) {
       last = std::max(
@@ -1098,36 +1096,6 @@ VerifyReport Verify(const DataflowGraph& graph, const MemoryPlan& plan,
     CheckPlan(graph, plan, options, report.issues);
   }
   return report;
-}
-
-std::optional<bool> VerifyEnvEnabled(const char* value, bool debug_default) {
-  if (value == nullptr || *value == '\0') return debug_default;
-  std::string v(value);
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
-  if (v == "0" || v == "false" || v == "off" || v == "no") return false;
-  return std::nullopt;
-}
-
-bool PreflightVerifyEnabled() {
-#ifndef NDEBUG
-  constexpr bool kDefault = true;
-#else
-  constexpr bool kDefault = false;
-#endif
-  static const bool enabled = [] {
-    const char* env = std::getenv("XFLOW_VERIFY");
-    if (const auto parsed = VerifyEnvEnabled(env, kDefault)) return *parsed;
-    // Like XFLOW_THREADS and XFLOW_AUTOTUNE: a misspelled request for the
-    // pre-flight must not silently run without it.
-    std::fprintf(stderr,
-                 "xflow: ignoring invalid XFLOW_VERIFY=\"%s\" (expected "
-                 "1/true/on/yes or 0/false/off/no); using %s\n",
-                 env, kDefault ? "on" : "off");
-    return kDefault;
-  }();
-  return enabled;
 }
 
 }  // namespace xflow::graph

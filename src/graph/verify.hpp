@@ -53,12 +53,12 @@
 // holds by construction: it launches the plan's own spans
 // (MemoryPlan::options()), so no rule compares two schedules.
 //
-// The executor's pre-flight runs Verify(graph, plan, plan.options()) and
-// adds binding/* rules (completeness and writability of external
-// containers), reusing VerifyIssue/VerifyReport.
+// Every executor runs Verify(graph, plan, plan.options()) once, at
+// construction, in every build; before each pass it adds the binding/*
+// rules (completeness and writability of external containers), reusing
+// VerifyIssue/VerifyReport.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -110,18 +110,5 @@ VerifyReport Verify(const DataflowGraph& graph);
 /// alignment. Plan rules are skipped when the graph itself has errors.
 VerifyReport Verify(const DataflowGraph& graph, const MemoryPlan& plan,
                     const PlanOptions& options);
-
-/// Gate for the executor's pre-flight verification: the XFLOW_VERIFY
-/// environment variable when set (1/true/on/yes or 0/false/off/no),
-/// otherwise on in Debug builds (!NDEBUG) and off in Release. Read once
-/// per process; an unrecognized value warns once on stderr, naming it,
-/// and keeps the build-type default.
-bool PreflightVerifyEnabled();
-
-/// The pure decision behind PreflightVerifyEnabled (exposed for tests):
-/// `value` is the environment string or nullptr for unset, matched
-/// case-insensitively. Unset or "" -> `debug_default`; anything other
-/// than the spellings above is unrecognized (nullopt).
-std::optional<bool> VerifyEnvEnabled(const char* value, bool debug_default);
 
 }  // namespace xflow::graph

@@ -22,37 +22,6 @@ using detail::RowNormDots;
 using detail::RowNormStats;
 
 template <typename T>
-void AttnInputBias(const std::array<const Tensor<T>*, 3>& inputs,
-                   const Tensor<T>& stacked_bias, char stack_dim,
-                   const std::array<Tensor<T>*, 3>& outputs) {
-  const std::int64_t slice = inputs[0]->extent(stack_dim);
-  const std::int64_t bias_stride = stacked_bias.stride(stack_dim);
-  for (std::size_t s = 0; s < 3; ++s) {
-    const Tensor<T>& x = *inputs[s];
-    Tensor<T>& y = *outputs[s];
-    const auto ld = LoopOverOutput(y.shape());
-    auto xv = View<const T, 4>::Bind(x, ld.names);
-    auto bv = View<const T, 4>::Bind(stacked_bias, ld.names);
-    auto yv = View<T, 4>::Bind(y, ld.names);
-    // Shift the bias view to this input's slice of the stack.
-    bv.ptr += static_cast<std::int64_t>(s) * slice * bias_stride;
-    const std::int64_t n = ld.extents[3];
-    // The stacked bias may broadcast along the innermost dim (stride 0),
-    // so it keeps a strided accessor (Pass).
-    ForEachRow(
-        ld,
-        [n](std::int64_t, std::int64_t, std::int64_t, const auto& xr,
-            const auto& br, const auto& yr) {
-          XFLOW_SIMD
-          for (std::int64_t d = 0; d < n; ++d) {
-            yr[d] = T(float(xr[d]) + float(br[d]));
-          }
-        },
-        In{xv}, Pass{bv}, Out{yv});
-  }
-}
-
-template <typename T>
 void BiasReluDropout(const Tensor<T>& x, const Tensor<T>& bias,
                      const DropoutMask& mask, Tensor<T>& relu_saved,
                      Tensor<T>& y, Tensor<T>& mask_out) {
@@ -340,9 +309,6 @@ void AttnInputBiasBackward(const std::array<const Tensor<T>*, 3>& d_inputs,
 }
 
 #define XFLOW_INSTANTIATE_FUSED(T)                                            \
-  template void AttnInputBias<T>(const std::array<const Tensor<T>*, 3>&,      \
-                                 const Tensor<T>&, char,                      \
-                                 const std::array<Tensor<T>*, 3>&);           \
   template void BiasReluDropout<T>(const Tensor<T>&, const Tensor<T>&,        \
                                    const DropoutMask&, Tensor<T>&,            \
                                    Tensor<T>&, Tensor<T>&);                   \

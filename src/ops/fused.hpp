@@ -1,7 +1,7 @@
 // The paper's fused operators (Sec. IV-A): each function is one "kernel" --
 // a single pass over memory that avoids materializing interim tensors.
 // Naming follows the paper:
-//   AIB    attention input bias                      (forward)
+//   AIB    attention input bias                      (forward; elementwise.hpp)
 //   SM     scaling + softmax + dropout               (forward; softmax.hpp)
 //   BRD    bias + ReLU + dropout                     (forward)
 //   BDRLN  bias + dropout + residual + layernorm     (forward; also DRLN)
@@ -21,13 +21,6 @@
 #include "tensor/tensor.hpp"
 
 namespace xflow::ops {
-
-/// AIB: adds the stacked projection bias [3p, h] to qq, kk and vv in a
-/// single launch (slices 0/1/2 of the bias stack respectively).
-template <typename T>
-void AttnInputBias(const std::array<const Tensor<T>*, 3>& inputs,
-                   const Tensor<T>& stacked_bias, char stack_dim,
-                   const std::array<Tensor<T>*, 3>& outputs);
 
 /// BRD: y = dropout(relu(x + bias)). The ReLU output is additionally saved
 /// for the backward pass (the paper's BDRB kernel consumes it).

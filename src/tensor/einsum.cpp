@@ -271,21 +271,24 @@ template <typename T>
 void EinsumLowered(const EinsumSpec& spec, EinsumClass /*cls*/,
                    const Tensor<T>& a, const Tensor<T>& b, Tensor<T>& out,
                    float alpha, float beta, const EinsumExecConfig* exec) {
-  // Validate extents agree across operands.
+  // Validate extents agree across operands. Messages are built only on
+  // failure: this runs on every contraction.
   for (char d : spec.k_dims) {
-    require(a.extent(d) == b.extent(d),
-            StrFormat("einsum '%s': contracted dim '%c' extent mismatch: "
-                      "a=%s vs b=%s",
-                      SpecStr(spec).c_str(), d, ShapeStr(a.shape()).c_str(),
-                      ShapeStr(b.shape()).c_str()));
+    require(a.extent(d) == b.extent(d), [&] {
+      return StrFormat("einsum '%s': contracted dim '%c' extent mismatch: "
+                       "a=%s vs b=%s",
+                       SpecStr(spec).c_str(), d, ShapeStr(a.shape()).c_str(),
+                       ShapeStr(b.shape()).c_str());
+    });
   }
   for (char d : spec.batch_dims) {
-    require(a.extent(d) == b.extent(d) && a.extent(d) == out.extent(d),
-            StrFormat("einsum '%s': batch dim '%c' extent mismatch: a=%s "
-                      "b=%s out=%s",
-                      SpecStr(spec).c_str(), d, ShapeStr(a.shape()).c_str(),
-                      ShapeStr(b.shape()).c_str(),
-                      ShapeStr(out.shape()).c_str()));
+    require(a.extent(d) == b.extent(d) && a.extent(d) == out.extent(d), [&] {
+      return StrFormat("einsum '%s': batch dim '%c' extent mismatch: a=%s "
+                       "b=%s out=%s",
+                       SpecStr(spec).c_str(), d, ShapeStr(a.shape()).c_str(),
+                       ShapeStr(b.shape()).c_str(),
+                       ShapeStr(out.shape()).c_str());
+    });
   }
   // The output tables index `out` over the operands' free-dim extents, so
   // each m (n) dim must be in `out` with a's (b's) extent. (A dim missing
@@ -293,19 +296,23 @@ void EinsumLowered(const EinsumSpec& spec, EinsumClass /*cls*/,
   const auto check_free = [&](char d, const Tensor<T>& operand) {
     require(!operand.shape().has(d) ||
                 (out.shape().has(d) && out.extent(d) == operand.extent(d)),
-            StrFormat("einsum '%s': output dim '%c' is missing from out or "
-                      "does not match its operand's extent: a=%s b=%s out=%s",
-                      SpecStr(spec).c_str(), d, ShapeStr(a.shape()).c_str(),
-                      ShapeStr(b.shape()).c_str(),
-                      ShapeStr(out.shape()).c_str()));
+            [&] {
+              return StrFormat(
+                  "einsum '%s': output dim '%c' is missing from out or does "
+                  "not match its operand's extent: a=%s b=%s out=%s",
+                  SpecStr(spec).c_str(), d, ShapeStr(a.shape()).c_str(),
+                  ShapeStr(b.shape()).c_str(), ShapeStr(out.shape()).c_str());
+            });
   };
   for (char d : spec.m_dims) check_free(d, a);
   for (char d : spec.n_dims) check_free(d, b);
-  require(out.shape().names().size() == spec.out.size(),
-          StrFormat("einsum '%s': output tensor rank %zu does not match "
-                    "the spec's %zu output dims (out=%s)",
-                    SpecStr(spec).c_str(), out.shape().names().size(),
-                    spec.out.size(), ShapeStr(out.shape()).c_str()));
+  const auto out_rank = static_cast<std::size_t>(out.shape().rank());
+  require(out_rank == spec.out.size(), [&] {
+    return StrFormat("einsum '%s': output tensor rank %zu does not match "
+                     "the spec's %zu output dims (out=%s)",
+                     SpecStr(spec).c_str(), out_rank, spec.out.size(),
+                     ShapeStr(out.shape()).c_str());
+  });
   (void)ClassifyEinsum(spec, a.shape(), b.shape());
 
   const EinsumTables& t = CachedTables(spec, a.shape(), b.shape(),

@@ -55,7 +55,7 @@ TEST(AutotuneBucket, RoundsExtentsUpToPowersOfTwo) {
   EXPECT_NE(BucketOf(EinsumClass::kBatchedGemm, e, 4), b);
 }
 
-TEST(AutotuneCandidates, HeuristicFirstThenBatchParallelism) {
+TEST(AutotuneCandidates, HeuristicForAGemmEachStrategyOnceForABatch) {
   // A single GEMM, degenerate or not, has nothing to vary.
   for (const GemmExtents& e :
        {GemmExtents{.m = 512, .n = 512, .k = 512},
@@ -64,13 +64,13 @@ TEST(AutotuneCandidates, HeuristicFirstThenBatchParallelism) {
     ASSERT_EQ(gemm.size(), 1u);
     EXPECT_EQ(gemm.front().batch_parallel, -1);  // the built-in heuristic
   }
-  // A batch runs its loop in parallel or each GEMM's blocks.
+  // A batch runs its loop in parallel or each GEMM's blocks. The
+  // heuristic resolves to one of the two, so it is not a third candidate.
   const auto batched = ExecCandidates(BucketOf(
       EinsumClass::kBatchedGemm, {.m = 64, .n = 64, .k = 64, .batch = 8}, 4));
-  ASSERT_EQ(batched.size(), 3u);
-  EXPECT_EQ(batched[0].batch_parallel, -1);
-  EXPECT_EQ(batched[1].batch_parallel, 1);
-  EXPECT_EQ(batched[2].batch_parallel, 0);
+  ASSERT_EQ(batched.size(), 2u);
+  EXPECT_EQ(batched[0].batch_parallel, 1);
+  EXPECT_EQ(batched[1].batch_parallel, 0);
 }
 
 TEST(Autotune, ColdTunesOnceThenEveryLookupIsWarm) {
@@ -88,7 +88,7 @@ TEST(Autotune, ColdTunesOnceThenEveryLookupIsWarm) {
   const auto mid = memstats::Read();
   EXPECT_EQ(mid.autotune_measures, before.autotune_measures + 1);
   EXPECT_TRUE(cold.measured);
-  EXPECT_GT(calls, 0);
+  EXPECT_EQ(calls, 4);  // best of two runs for each of the two strategies
   EXPECT_EQ(cold.exec.batch_parallel, 0);  // the measured-fastest candidate
 
   const int calls_after_cold = calls;
@@ -125,6 +125,20 @@ TEST(Autotune, SingleCandidateBucketIsCachedUntimed) {
   EXPECT_FALSE(warm.measured);
   EXPECT_EQ(after.autotune_measures, mid.autotune_measures);
   EXPECT_EQ(after.autotune_hits, mid.autotune_hits + 1);
+}
+
+TEST(Autotune, UntimedFillOfABatchKeepsTheHeuristic) {
+  // Without a timing function nothing picks a batch strategy, so the
+  // fill caches the built-in heuristic, not the first candidate.
+  ResetAutotuneCacheForTesting();
+  const auto bucket = BucketOf(EinsumClass::kBatchedGemm,
+                               {.m = 50, .n = 20, .k = 10, .batch = 3}, 4);
+  const auto cold = Autotune(bucket, nullptr, AutotuneMode::kMeasure);
+  EXPECT_FALSE(cold.measured);
+  EXPECT_EQ(cold.exec.batch_parallel, -1);
+  EXPECT_EQ(
+      Autotune(bucket, nullptr, AutotuneMode::kMeasure).exec.batch_parallel,
+      -1);
 }
 
 TEST(Autotune, OffModeBypassesTheCacheEntirely) {

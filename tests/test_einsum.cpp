@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <new>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -12,6 +15,29 @@
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
 #include "tensor/memstats.hpp"
+
+// Heap allocations on any thread while counting is on. Replacing the
+// global allocation functions is the one way to see the allocations a
+// library call makes internally; the replacement lives in this test
+// binary only.
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<int> g_allocs{0};
+}  // namespace
+
+// Out of line, so GCC does not pair an inlined free() with a new-
+// expression and report a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept {
+  std::free(p);
+}
 
 namespace xflow {
 namespace {
@@ -216,6 +242,23 @@ TEST(EinsumClassify, CacheRebuildsNothingOnRepeatLookups) {
   const auto after = memstats::Read();
   EXPECT_EQ(after.einsum_class_builds, before.einsum_class_builds);
   EXPECT_EQ(again.cls, EinsumClass::kGemm);
+}
+
+TEST(EinsumAllocations, PassingChecksFormatNoMessage) {
+  // The extent and rank checks build their messages only on failure, so
+  // a warm unbatched single-block contraction allocates nothing but the
+  // two cache keys it looks up (its class and its offset tables).
+  ThreadGuard threads(2);
+  const auto spec = EinsumSpec::Parse("ik,kj->ij");
+  const auto a = TensorH::Random(Shape("ik", {8, 16}), 1);
+  const auto b = TensorH::Random(Shape("kj", {16, 8}), 2);
+  TensorH out(Shape("ij", {8, 8}));
+  EinsumInto(spec, a, b, out);  // fills both caches
+  g_allocs.store(0);
+  g_count_allocs.store(true);
+  EinsumInto(spec, a, b, out);
+  g_count_allocs.store(false);
+  EXPECT_LE(g_allocs.load(), 2);
 }
 
 TEST(EinsumErrors, NameTheSpecAndShapes) {

@@ -15,26 +15,6 @@ namespace {
 
 constexpr float kEps = 1e-5f;
 
-TEST(FusedAIB, MatchesThreeSeparateBiasKernels) {
-  const Shape proj("phbj", {4, 2, 3, 5});
-  auto qq = TensorH::Random(proj, 1);
-  auto kk = TensorH::Random(proj, 2);
-  auto vv = TensorH::Random(proj, 3);
-  auto bias = TensorH::Random(Shape("ph", {12, 2}), 4);  // stacked 3x4
-
-  // Unfused: slice the stacked bias, then three bias kernels.
-  TensorH q_ref(proj), k_ref(proj), v_ref(proj);
-  BiasForward(qq, bias.SliceDim('p', 0, 4), q_ref);
-  BiasForward(kk, bias.SliceDim('p', 4, 4), k_ref);
-  BiasForward(vv, bias.SliceDim('p', 8, 4), v_ref);
-
-  TensorH q_f(proj), k_f(proj), v_f(proj);
-  AttnInputBias<Half>({&qq, &kk, &vv}, bias, 'p', {&q_f, &k_f, &v_f});
-  EXPECT_EQ(MaxAbsDiff(q_ref, q_f), 0.0);
-  EXPECT_EQ(MaxAbsDiff(k_ref, k_f), 0.0);
-  EXPECT_EQ(MaxAbsDiff(v_ref, v_f), 0.0);
-}
-
 TEST(FusedBRD, MatchesBiasReluDropoutPipeline) {
   const Shape ubj("ubj", {8, 2, 6});
   auto x = TensorH::Random(ubj, 5);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.hpp"
 #include "graph/analysis.hpp"
 #include "graph/builder.hpp"
@@ -42,6 +45,66 @@ TEST(DataflowGraph, ProducerConsumerLookup) {
   EXPECT_EQ(g.ProducerOf("c"), 1);
   EXPECT_EQ(g.ConsumersOf("b"), std::vector<int>{1});
   EXPECT_TRUE(g.ConsumersOf("c").empty());
+}
+
+// The lookups are indexed as ops are added; these pin the semantics of
+// the linear scans they replaced.
+
+TEST(DataflowGraph, ConsumersListEachReaderOnceInOpOrder) {
+  DataflowGraph g;
+  const Shape x("x", {4});
+  for (const char* name : {"a", "b", "c", "d"}) g.AddTensor(name, x);
+  g.AddOp({.name = "square", .inputs = {"a", "a"}, .outputs = {"b"}});
+  g.AddOp({.name = "mix", .inputs = {"b", "a", "b"}, .outputs = {"c"}});
+  g.AddOp({.name = "sum", .inputs = {"c", "a"}, .outputs = {"d"}});
+  EXPECT_EQ(g.ConsumersOf("a"), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(g.ConsumersOf("b"), std::vector<int>{1});
+  EXPECT_EQ(g.ConsumersOf("c"), std::vector<int>{2});
+  EXPECT_TRUE(g.ConsumersOf("d").empty());
+  EXPECT_TRUE(g.ConsumersOf("no such tensor").empty());
+}
+
+TEST(DataflowGraph, OpIndexFindsTheFirstOfARepeatedName) {
+  DataflowGraph g;
+  const Shape x("x", {4});
+  for (const char* name : {"a", "b", "c"}) g.AddTensor(name, x);
+  g.AddOpUnchecked({.name = "twin", .inputs = {"a"}, .outputs = {"b"}});
+  g.AddOpUnchecked({.name = "twin", .inputs = {"b"}, .outputs = {"c"}});
+  EXPECT_EQ(g.OpIndex("twin"), 0);
+  EXPECT_EQ(&g.op("twin"), &g.ops()[0]);
+  EXPECT_EQ(g.OpIndex("missing"), -1);
+  EXPECT_THROW((void)g.op("missing"), InvalidArgument);
+  // The checked path refuses the repeat outright.
+  DataflowGraph h;
+  for (const char* name : {"a", "b", "c"}) h.AddTensor(name, x);
+  h.AddOp({.name = "twin", .inputs = {"a"}, .outputs = {"b"}});
+  EXPECT_THROW(h.AddOp({.name = "twin", .inputs = {"b"}, .outputs = {"c"}}),
+               InvalidArgument);
+}
+
+TEST(DataflowGraph, IndexedLookupsMatchAScanOfTheStack) {
+  // Every container and op of a two-layer training graph (embedding, loss
+  // and a recomputed layer included), against a scan of ops().
+  StackGraphOptions options;
+  options.num_layers = 2;
+  options.vocab = 16;
+  options.include_loss = true;
+  options.recompute_layers = {0};
+  const auto g = BuildEncoderStack(ModelDims::Tiny(), options);
+  const auto& ops = g.ops();
+  for (const auto& [name, node] : g.tensors()) {
+    std::vector<int> scan;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const auto& in = ops[i].inputs;
+      if (std::find(in.begin(), in.end(), name) != in.end()) {
+        scan.push_back(static_cast<int>(i));
+      }
+    }
+    EXPECT_EQ(g.ConsumersOf(name), scan) << name;
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(g.OpIndex(ops[i].name), static_cast<int>(i)) << ops[i].name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -530,6 +529,28 @@ TEST(VerifyFuzz, EveryPlanPerturbationIsCaught) {
   }
 }
 
+// ----------------------------------------------------- executor pre-flight
+
+TEST(ExecutorPreflight, RejectsACorruptedPlanAtConstruction) {
+  // The full verification runs in every build type, with no environment
+  // knob to enable it: an executor over a plan that lets two live
+  // containers share bytes must never come into existence.
+  const auto f = MakeChain();
+  const auto plan = Corrupted(
+      f.plan, [](auto& p) { p.at("b").offset = p.at("a").offset; });
+  Workspace ws;
+  ws.Reserve(plan.PeakBytes());
+  try {
+    GraphExecutorT<float> exec(f.graph, &plan, &ws, ExecutorOptions{});
+    FAIL() << "expected the pre-flight to reject the plan";
+  } catch (const InvalidArgument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("graph executor pre-flight failed"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("plan/overlap"), std::string::npos) << msg;
+  }
+}
+
 // ----------------------------------------------------- executor bindings
 
 /// x -> relu -> y with both containers external (excluded from the
@@ -613,9 +634,6 @@ TEST(ExecutorBindings, CleanBindingsRunTheGraph) {
 }
 
 TEST(ExecutorBindings, PreflightNamesTheMissingContainer) {
-  if (!PreflightVerifyEnabled()) {
-    GTEST_SKIP() << "pre-flight disabled (Release build, XFLOW_VERIFY unset)";
-  }
   ReluExecFixture f;
   auto exec = f.MakeExecutor();
   try {
@@ -710,23 +728,6 @@ TEST(VerifyReporting, OpRefNamesOpIndexAndKind) {
   EXPECT_EQ(ref.find("op 'r0' (#0, "), 0u) << ref;
   EXPECT_EQ(OpRef(f.graph, 7), "op #7");
   EXPECT_EQ(OpRef(f.graph, -1), "op #-1");
-}
-
-TEST(VerifyReporting, EnvGateParsesCommonSpellings) {
-  for (const char* on : {"1", "true", "TRUE", "on", "On", "yes"}) {
-    EXPECT_EQ(VerifyEnvEnabled(on, false), true) << on;
-  }
-  for (const char* off : {"0", "false", "OFF", "off", "no", "No"}) {
-    EXPECT_EQ(VerifyEnvEnabled(off, true), false) << off;
-  }
-  // Unset falls back to the build-type default.
-  EXPECT_EQ(VerifyEnvEnabled(nullptr, true), true);
-  EXPECT_EQ(VerifyEnvEnabled(nullptr, false), false);
-  EXPECT_EQ(VerifyEnvEnabled("", true), true);
-  EXPECT_EQ(VerifyEnvEnabled("", false), false);
-  // Unrecognized: PreflightVerifyEnabled warns and keeps the default.
-  EXPECT_EQ(VerifyEnvEnabled("garbage", true), std::nullopt);
-  EXPECT_EQ(VerifyEnvEnabled("garbage", false), std::nullopt);
 }
 
 }  // namespace
