@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace xflow {
@@ -28,6 +29,19 @@ thread_local bool t_in_worker = false;
 thread_local const void* t_pool = nullptr;
 thread_local int t_slot = -1;
 
+// Upper bound on a pool's thread count, for every source of it.
+constexpr int kMaxThreads = 1024;
+
+/// `threads` clamped to at least 1; throws InvalidArgument naming it when
+/// it exceeds kMaxThreads, before anything is allocated or started.
+int CheckedThreads(int threads) {
+  require(threads <= kMaxThreads, [&] {
+    return StrFormat("thread count %d is above the maximum of %d", threads,
+                     kMaxThreads);
+  });
+  return std::max(1, threads);
+}
+
 int HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
@@ -39,7 +53,8 @@ int EnvThreads() {
   char* end = nullptr;
   errno = 0;
   const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || errno == ERANGE || v < 1 || v > 1024) {
+  if (end == env || *end != '\0' || errno == ERANGE || v < 1 ||
+      v > kMaxThreads) {
     // A malformed value must not silently fall back to hardware
     // concurrency: a misconfigured run (XFLOW_THREADS=8x, =-2, =99999)
     // would otherwise look exactly like an unconfigured one. Warn once.
@@ -47,8 +62,8 @@ int EnvThreads() {
     if (!warned.exchange(true)) {
       std::fprintf(stderr,
                    "xflow: ignoring invalid XFLOW_THREADS=\"%s\" (expected an "
-                   "integer in [1, 1024]); using hardware concurrency\n",
-                   env);
+                   "integer in [1, %d]); using hardware concurrency\n",
+                   env, kMaxThreads);
     }
     return 0;
   }
@@ -201,7 +216,7 @@ struct ThreadPool::Impl {
 };
 
 ThreadPool::ThreadPool(int threads)
-    : impl_(new Impl), threads_(std::max(1, threads)) {
+    : threads_(CheckedThreads(threads)), impl_(new Impl) {
   impl_->threads = threads_;
   impl_->queues.reserve(static_cast<std::size_t>(threads_ - 1));
   for (int i = 0; i < threads_ - 1; ++i) {
@@ -436,7 +451,7 @@ std::unique_ptr<ThreadPool> g_global_pool XFLOW_GUARDED_BY(g_global_mu);
 
 int ThreadPool::ResolveGlobalThreads() {
   const int env = EnvThreads();
-  return env > 0 ? env : HardwareThreads();
+  return env > 0 ? env : std::min(HardwareThreads(), kMaxThreads);
 }
 
 ThreadPool& ThreadPool::Global() {
@@ -448,6 +463,7 @@ ThreadPool& ThreadPool::Global() {
 }
 
 void ThreadPool::SetGlobalThreads(int threads) {
+  const int checked = CheckedThreads(threads);
   MutexLock lock(g_global_mu);
   if (g_global_pool) {
     require(g_global_pool->impl_->active_groups.load(
@@ -456,7 +472,7 @@ void ThreadPool::SetGlobalThreads(int threads) {
             "task groups or parallel loops are active on it; wait for "
             "in-flight work to finish first");
   }
-  g_global_pool = std::make_unique<ThreadPool>(std::max(1, threads));
+  g_global_pool = std::make_unique<ThreadPool>(checked);
 }
 
 void ParallelFor(std::int64_t n, std::int64_t grain,

@@ -45,7 +45,8 @@ class ThreadPool {
  public:
   /// Spawns `threads - 1` workers; the thread calling ParallelFor or
   /// TaskGroup::Wait is the final participant. `threads < 1` is clamped
-  /// to 1 (inline execution, no workers).
+  /// to 1 (inline execution, no workers); above 1024 it throws
+  /// InvalidArgument naming the count, before starting any worker.
   explicit ThreadPool(int threads);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -76,6 +77,7 @@ class ThreadPool {
   /// count (see header comment for the resolution order).
   static ThreadPool& Global();
   /// Rebuilds the global pool with `threads` workers (clamped to >= 1).
+  /// Above 1024 it throws InvalidArgument and keeps the current pool.
   /// Resizing while any TaskGroup or ParallelFor is active on the global
   /// pool would tear down workers mid-task, so it throws InvalidArgument
   /// when active work is detected instead of racing.
@@ -87,8 +89,8 @@ class ThreadPool {
   friend class TaskGroup;
   friend struct detail::TaskGroupAccess;
   struct Impl;
+  int threads_;  // initialized (and checked) before impl_ is allocated
   Impl* impl_;
-  int threads_;
 };
 
 /// A set of spawned tasks that one thread waits on. Nested-safe: tasks

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <stdexcept>
 #include <utility>
 
 #include "common/error.hpp"
@@ -56,6 +55,22 @@ char ReduceDim(const OpNode& op) {
   return op.reduction_dims.front().name;
 }
 
+/// The container names[begin, end) stands for: its one name, or the plan
+/// group whose members it lists in order; "" when it is neither.
+std::string GroupOf(const std::vector<PlanGroup>& groups,
+                    const std::vector<std::string>& names, std::size_t begin,
+                    std::size_t end) {
+  if (end - begin == 1) return names[begin];
+  const auto first = names.begin() + static_cast<std::ptrdiff_t>(begin);
+  const auto last = names.begin() + static_cast<std::ptrdiff_t>(end);
+  for (const PlanGroup& g : groups) {
+    if (std::equal(g.members.begin(), g.members.end(), first, last)) {
+      return g.name;
+    }
+  }
+  return "";
+}
+
 /// Throws InvalidArgument listing every issue unless `report` is clean.
 void RequirePreflight(const VerifyReport& report) {
   require(report.ok(), [&] {
@@ -67,19 +82,19 @@ void RequirePreflight(const VerifyReport& report) {
 }  // namespace
 
 template <typename T>
-GraphExecutorT<T>::GraphExecutorT(DataflowGraph graph, const MemoryPlan* plan,
-                                  Workspace* workspace,
+GraphExecutorT<T>::GraphExecutorT(const DataflowGraph* graph,
+                                  const MemoryPlan* plan, Workspace* workspace,
                                   ExecutorOptions options)
-    : graph_(std::move(graph)), plan_(plan), workspace_(workspace),
+    : graph_(graph), plan_(plan), workspace_(workspace),
       options_(std::move(options)),
       keep_scale_(DropoutKeepScale(options_.dropout_prob)) {
-  require(plan_ != nullptr && workspace_ != nullptr,
-          "executor needs a memory plan and a workspace");
+  require(graph_ != nullptr && plan_ != nullptr && workspace_ != nullptr,
+          "executor needs a graph, a memory plan and a workspace");
   require(workspace_->capacity() >= plan_->PeakBytes(),
           "workspace is smaller than the plan's peak bytes");
   // The graph, the plan and its options are fixed from here on, so one
   // full verification covers every later pass.
-  RequirePreflight(Verify(graph_, *plan_, plan_->options()));
+  RequirePreflight(Verify(*graph_, *plan_, plan_->options()));
   BuildBindings();
   BuildSchedule();
 }
@@ -90,7 +105,7 @@ void GraphExecutorT<T>::BuildBindings() {
   // containers (a different element width than T, e.g. fp32 layernorm
   // moments among fp16 activations) get fp32 views; when T is float the
   // widths coincide and everything lands in the T map.
-  for (const auto& [name, node] : graph_.tensors()) {
+  for (const auto& [name, node] : graph_->tensors()) {
     if (!plan_->Contains(name)) continue;  // weights / excluded inputs
     const TensorPlacement& p = plan_->at(name);
     if (p.shape.rank() == 0) continue;  // group aliases handled below
@@ -108,10 +123,10 @@ void GraphExecutorT<T>::BuildBindings() {
   // the stack dim's extent summed (the zero-copy [Q~ K~ V~] block).
   for (const PlanGroup& g : plan_->groups()) {
     const TensorPlacement& alias = plan_->at(g.name);
-    const Shape& first = graph_.tensor(g.members.front()).shape;
+    const Shape& first = graph_->tensor(g.members.front()).shape;
     std::int64_t stacked_extent = 0;
     for (const auto& m : g.members) {
-      stacked_extent += graph_.tensor(m).shape.dims().front().extent;
+      stacked_extent += graph_->tensor(m).shape.dims().front().extent;
     }
     std::vector<DimExt> dims = first.dims();
     dims.front().extent = stacked_extent;
@@ -128,70 +143,77 @@ void GraphExecutorT<T>::BuildBindings() {
 
 template <typename T>
 void GraphExecutorT<T>::BuildSchedule() {
-  const auto& ops = graph_.ops();
-  backward_begin_ = graph_.BackwardBegin();
+  const auto& ops = graph_->ops();
+  const auto& groups = plan_->groups();
+  backward_begin_ = graph_->BackwardBegin();
 
-  // Per-op attributes resolved once: parsed einsum specs, stacked-operand
-  // substitution, and the dropout seed schedule (appearance order over
+  // Per-op attributes resolved once: parsed einsum specs, the operands of
+  // stacked kernels, and the dropout seed schedule (appearance order over
   // the dropout-bearing ops, matching the layer's per-site streams).
   // Recompute clones reuse the original op's seed -- bitwise-identical
   // masks -- and do not consume a schedule slot.
+  resolved_.assign(ops.size(), ResolvedOp{});
   std::size_t next_seed = 0;
-  std::map<std::string, std::uint64_t> seed_by_name;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const OpNode& op = ops[i];
-    const int idx = static_cast<int>(i);
+    ResolvedOp& r = resolved_[i];
     if (op.kind == OpKind::kScaledSoftmax || op.kind == OpKind::kDropout) {
       if (!op.recompute_of.empty()) {
-        const auto it = seed_by_name.find(op.recompute_of);
-        require(it != seed_by_name.end(), [&] {
-          return StrFormat("recompute clone '%s' precedes its original '%s'",
-                           op.name.c_str(), op.recompute_of.c_str());
-        });
-        dropout_seed_[idx] = it->second;
+        const int original = graph_->OpIndex(op.recompute_of);
+        require(original >= 0 && static_cast<std::size_t>(original) < i &&
+                    ops[static_cast<std::size_t>(original)].kind == op.kind,
+                [&] {
+                  return StrFormat("recompute clone '%s' does not follow its "
+                                   "original '%s'",
+                                   op.name.c_str(), op.recompute_of.c_str());
+                });
+        r.dropout_seed =
+            resolved_[static_cast<std::size_t>(original)].dropout_seed;
       } else {
         require(next_seed < options_.dropout_seeds.size(), [&] {
           return StrFormat("no dropout seed for op '%s' (provide one per "
                            "dropout-bearing op, in graph order)",
                            op.name.c_str());
         });
-        dropout_seed_[idx] = options_.dropout_seeds[next_seed++];
-        seed_by_name[op.name] = dropout_seed_[idx];
+        r.dropout_seed = options_.dropout_seeds[next_seed++];
       }
+    } else if (op.kind == OpKind::kContraction) {
+      require(!op.einsum.empty(), [&] {
+        return StrFormat("contraction '%s' has no einsum spec",
+                         op.name.c_str());
+      });
+      r.spec = EinsumSpec::Parse(op.einsum);
+      // A stacked GEMM lists a group's members in place of one operand:
+      // w_qkv x [dQ~ dK~ dV~] (Q,K,V dX), [dQ~ dK~ dV~] x x (Q,K,V dW),
+      // and one output block (Q,K,V).
+      const auto& in = op.inputs;
+      const std::size_t n = in.size();
+      if (n >= 2) {
+        r.b = GroupOf(groups, in, 1, n);
+        r.a = r.b.empty() ? GroupOf(groups, in, 0, n - 1) : in[0];
+        if (!r.a.empty() && r.b.empty()) r.b = in[n - 1];
+      }
+      require(!r.a.empty() && !r.b.empty(), [&] {
+        return StrFormat("contraction '%s' has %zu inputs and no matching "
+                         "stacked group",
+                         op.name.c_str(), n);
+      });
+      r.out = GroupOf(groups, op.outputs, 0, op.outputs.size());
+      require(!r.out.empty(), [&] {
+        return StrFormat("contraction '%s' writes %zu outputs and no "
+                         "matching stacked group",
+                         op.name.c_str(), op.outputs.size());
+      });
+    } else if (op.kind == OpKind::kBiasDW) {
+      // The stacked BAIB gradient reduces the [dQ~ dK~ dV~] group view.
+      r.a = GroupOf(groups, op.inputs, 0, op.inputs.size());
+      require(!r.a.empty(), [&] {
+        return StrFormat("bias dW '%s' has multiple inputs but no stacked "
+                         "group",
+                         op.name.c_str());
+      });
+      r.out = op.outputs[0];
     }
-    if (op.kind != OpKind::kContraction) continue;
-    require(!op.einsum.empty(), [&] {
-      return StrFormat("contraction '%s' has no einsum spec", op.name.c_str());
-    });
-    specs_.emplace(idx, EinsumSpec::Parse(op.einsum));
-    ContractionOperands operands;
-    if (op.inputs.size() == 2) {
-      operands.a = op.inputs[0];
-      operands.b = op.inputs[1];
-    } else if (const PlanGroup* g =
-                   GroupMatching(op.inputs, 1, op.inputs.size() - 1)) {
-      operands.a = op.inputs[0];  // e.g. Q,K,V dX: w_qkv x [dQ~ dK~ dV~]
-      operands.b = g->name;
-    } else if (const PlanGroup* h =
-                   GroupMatching(op.inputs, 0, op.inputs.size() - 1)) {
-      operands.a = h->name;  // e.g. Q,K,V dW: [dQ~ dK~ dV~] x x
-      operands.b = op.inputs.back();
-    } else {
-      require(false, StrFormat("contraction '%s' has %zu inputs and no "
-                               "matching stacked group",
-                               op.name.c_str(), op.inputs.size()));
-    }
-    if (op.outputs.size() == 1) {
-      operands.out = op.outputs[0];
-    } else if (const PlanGroup* g =
-                   GroupMatching(op.outputs, 0, op.outputs.size())) {
-      operands.out = g->name;  // e.g. Q,K,V: one stacked GEMM output
-    } else {
-      require(false, StrFormat("contraction '%s' writes %zu outputs and no "
-                               "matching stacked group",
-                               op.name.c_str(), op.outputs.size()));
-    }
-    contraction_operands_[idx] = std::move(operands);
   }
 
   // Schedule: in fused mode, the plan's fused spans -- the kernels whose
@@ -204,7 +226,7 @@ void GraphExecutorT<T>::BuildSchedule() {
     for (const auto& span : plan_->options().fused_spans) {
       Step step;
       for (const auto& name : span) {
-        if (const int i = graph_.OpIndex(name); i >= 0) step.ops.push_back(i);
+        if (const int i = graph_->OpIndex(name); i >= 0) step.ops.push_back(i);
       }
       if (step.ops.empty()) continue;
       const std::string what =
@@ -217,7 +239,7 @@ void GraphExecutorT<T>::BuildSchedule() {
       }
       require(run, what + " is not a run of consecutive ops disjoint from "
                           "the other spans");
-      step.launch = fusion::LaunchOf(graph_, step.ops);
+      step.launch = fusion::LaunchOf(*graph_, step.ops);
       require(step.launch != fusion::FusedLaunch::kNone,
               what + " is not a fused kernel the executor can launch");
       const auto first = static_cast<std::size_t>(step.ops.front());
@@ -253,89 +275,98 @@ void GraphExecutorT<T>::BuildStepDeps() {
       StepRunner{this, s};
   remaining_ = std::make_unique<std::atomic<int>[]>(steps_.size());
 
-  // What every step touches: container names with a written-by-this-step
-  // flag, plus the planned byte span of each planned container. Names
-  // catch external containers (weights, graph inputs, weight gradients)
-  // that the plan never sees; byte spans are the safety net against a
-  // plan that recycles bytes between name-independent steps -- the
-  // planner proves such reuse path-ordered (and the verifier's
-  // plan/concurrent-overlap rule re-checks it), but a scheduler must not
-  // rely on an optimizer's proof to stay memory-safe.
-  struct Access {
-    std::map<std::string, bool> names;  // name -> step writes it
-    std::vector<std::array<std::size_t, 3>> spans;  // begin, end, writes
-  };
-  std::vector<Access> access(steps_.size());
-  for (int s = 0; s < count; ++s) {
-    Access& a = access[static_cast<std::size_t>(s)];
-    for (int idx : steps_[static_cast<std::size_t>(s)].ops) {
-      const OpNode& op = graph_.ops()[static_cast<std::size_t>(idx)];
-      for (const auto& in : op.inputs) a.names.try_emplace(in, false);
-      for (const auto& out : op.outputs) a.names.insert_or_assign(out, true);
-    }
-    for (const auto& [name, writes] : a.names) {
-      if (!plan_->Contains(name)) continue;
-      const TensorPlacement& p = plan_->at(name);
-      if (p.bytes == 0) continue;
-      a.spans.push_back({p.offset, p.offset + p.bytes,
-                         writes ? std::size_t{1} : std::size_t{0}});
-    }
+  // Resources two steps can race on: the slab byte segments between
+  // neighbouring placement boundaries, which tile every planned
+  // container's bytes, and by name the external containers (weights, graph
+  // inputs, weight gradients) that the plan never sees. Planned accesses
+  // are ordered by bytes, not by name, because the plan reuses bytes
+  // between steps that no graph path orders: recompute clones overwrite
+  // bytes of another layer's backward, and the planner and the verifier
+  // (plan/concurrent-overlap) allow that only because this ordering
+  // serializes the steps that share the bytes.
+  std::vector<std::size_t> bounds;
+  for (const auto& [name, p] : plan_->placements()) {
+    if (p.bytes == 0) continue;
+    bounds.push_back(p.offset);
+    bounds.push_back(p.offset + p.bytes);
   }
-  const auto conflicts = [](const Access& x, const Access& y) {
-    const Access& probe = x.names.size() <= y.names.size() ? x : y;
-    const Access& table = x.names.size() <= y.names.size() ? y : x;
-    for (const auto& [name, writes] : probe.names) {
-      const auto it = table.names.find(name);
-      if (it != table.names.end() && (writes || it->second)) return true;
-    }
-    for (const auto& sx : x.spans) {
-      for (const auto& sy : y.spans) {
-        if (sx[2] == 0 && sy[2] == 0) continue;  // two reads never race
-        if (sx[0] < sy[1] && sy[0] < sx[1]) return true;
-      }
-    }
-    return false;
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  const auto segment = [&](std::size_t byte) {
+    return static_cast<std::size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), byte) - bounds.begin());
   };
+  // One sweep in schedule order. Each resource keeps its last writer and
+  // the readers since that write: a step that reads it follows the
+  // writer, a step that writes it follows those readers (or, with none,
+  // the writer). Every two steps that touch a resource, one writing it,
+  // are thereby ordered, directly or through the accesses between them.
   // Edges run strictly forward in schedule order, so the DAG is acyclic
   // by construction and step_succs_ lists stay sorted ascending.
-  for (int j = 1; j < count; ++j) {
-    for (int i = 0; i < j; ++i) {
-      if (conflicts(access[static_cast<std::size_t>(i)],
-                    access[static_cast<std::size_t>(j)])) {
-        step_preds_[static_cast<std::size_t>(j)].push_back(i);
-        step_succs_[static_cast<std::size_t>(i)].push_back(j);
+  struct Resource {
+    int writer = -1;
+    std::vector<int> readers;
+  };
+  std::vector<Resource> resources(bounds.size());  // segments first
+  std::map<std::string, std::size_t> external;     // name -> resource
+  std::vector<std::pair<std::size_t, bool>> touched;  // resource, writes
+  std::vector<int> linked(steps_.size(), -1);  // last step linked after it
+  for (int s = 0; s < count; ++s) {
+    const auto us = static_cast<std::size_t>(s);
+    touched.clear();
+    const auto touch = [&](const std::string& name, bool writes) {
+      const auto it = plan_->placements().find(name);
+      if (it != plan_->placements().end() && it->second.bytes > 0) {
+        const TensorPlacement& p = it->second;
+        const std::size_t end = segment(p.offset + p.bytes);
+        for (std::size_t r = segment(p.offset); r < end; ++r) {
+          touched.emplace_back(r, writes);
+        }
+        return;
       }
+      const auto [ext, added] = external.try_emplace(name, resources.size());
+      if (added) resources.emplace_back();
+      touched.emplace_back(ext->second, writes);
+    };
+    for (int idx : steps_[us].ops) {
+      const OpNode& op = graph_->ops()[static_cast<std::size_t>(idx)];
+      for (const auto& in : op.inputs) touch(in, false);
+      for (const auto& out : op.outputs) touch(out, true);
+    }
+    const auto link = [&](int pred) {
+      if (pred < 0 || linked[static_cast<std::size_t>(pred)] == s) return;
+      linked[static_cast<std::size_t>(pred)] = s;
+      step_preds_[us].push_back(pred);
+      step_succs_[static_cast<std::size_t>(pred)].push_back(s);
+    };
+    // Sorted, one resource's accesses are adjacent and a write sorts last.
+    std::sort(touched.begin(), touched.end());
+    for (std::size_t t = 0; t < touched.size(); ++t) {
+      const auto [r, writes] = touched[t];
+      if (t + 1 < touched.size() && touched[t + 1].first == r) continue;
+      Resource& res = resources[r];
+      if (!writes) {
+        link(res.writer);
+        res.readers.push_back(s);
+        continue;
+      }
+      if (res.readers.empty()) link(res.writer);
+      for (int reader : res.readers) link(reader);
+      res.readers.clear();
+      res.writer = s;
     }
   }
-}
-
-template <typename T>
-const PlanGroup* GraphExecutorT<T>::GroupMatching(
-    const std::vector<std::string>& names, std::size_t begin,
-    std::size_t count) const {
-  for (const PlanGroup& g : plan_->groups()) {
-    if (g.members.size() != count) continue;
-    bool match = true;
-    for (std::size_t m = 0; m < count; ++m) {
-      if (g.members[m] != names[begin + m]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return &g;
-  }
-  return nullptr;
 }
 
 template <typename T>
 void GraphExecutorT<T>::Bind(const std::string& name, const Tensor<T>& tensor,
                              bool writable) {
-  require(graph_.HasTensor(name), [&] {
+  require(graph_->HasTensor(name), [&] {
     return StrFormat("graph has no container '%s'", name.c_str());
   });
   // Kernels address operands by dim name, so any memory order works; a
   // matching element count alone would let a kernel walk past the end.
-  const Shape& want = graph_.tensor(name).shape;
+  const Shape& want = graph_->tensor(name).shape;
   const Shape& got = tensor.shape();
   require(std::is_permutation(got.dims().begin(), got.dims().end(),
                               want.dims().begin(), want.dims().end()),
@@ -414,7 +445,7 @@ TensorF& GraphExecutorT<T>::StatView(const std::string& name) {
 
 template <typename T>
 VerifyReport GraphExecutorT<T>::VerifyBindings() const {
-  return VerifyBindingsInRange(0, static_cast<int>(graph_.ops().size()),
+  return VerifyBindingsInRange(0, static_cast<int>(graph_->ops().size()),
                                /*warn_unused=*/true);
 }
 
@@ -425,7 +456,7 @@ VerifyReport GraphExecutorT<T>::VerifyBindingsInRange(
   // Containers the range touches, with their last writer in the range.
   std::map<std::string, int> writer_of;
   for (int i = begin_op; i < end_op; ++i) {
-    const OpNode& op = graph_.ops()[static_cast<std::size_t>(i)];
+    const OpNode& op = graph_->ops()[static_cast<std::size_t>(i)];
     for (const auto& in : op.inputs) writer_of.try_emplace(in, -1);
     for (const auto& out : op.outputs) writer_of[out] = i;
   }
@@ -442,9 +473,9 @@ VerifyReport GraphExecutorT<T>::VerifyBindingsInRange(
     if (writer >= 0 && !w->second) {
       report.issues.push_back(VerifyIssue{
           VerifySeverity::kError, "binding/read-only",
-          graph_.ops()[static_cast<std::size_t>(writer)].name, name,
+          graph_->ops()[static_cast<std::size_t>(writer)].name, name,
           StrFormat("written by %s but bound read-only (use BindOutput)",
-                    OpRef(graph_, writer).c_str())});
+                    OpRef(*graph_, writer).c_str())});
     } else if (writer < 0 && w->second && warn_unused) {
       report.issues.push_back(VerifyIssue{
           VerifySeverity::kWarning, "binding/unused-writable", "", name,
@@ -476,7 +507,7 @@ void GraphExecutorT<T>::Backward() {
   require(forward_done_,
           "Backward() needs a completed Forward() since construction or the "
           "last Backward(): backward reuses the saved activations' bytes");
-  MaybeVerifyBindings(backward_begin_, static_cast<int>(graph_.ops().size()),
+  MaybeVerifyBindings(backward_begin_, static_cast<int>(graph_->ops().size()),
                       &backward_preflight_pending_);
   forward_done_ = false;
   RunRange(backward_begin_step_, static_cast<int>(steps_.size()));
@@ -553,7 +584,7 @@ void GraphExecutorT<T>::RunStepChecked(int s) {
   auto step_ref = [&] {
     std::vector<std::string> refs;
     refs.reserve(step.ops.size());
-    for (int idx : step.ops) refs.push_back(OpRef(graph_, idx));
+    for (int idx : step.ops) refs.push_back(OpRef(*graph_, idx));
     return Join(refs, " + ");
   };
   try {
@@ -564,23 +595,22 @@ void GraphExecutorT<T>::RunStepChecked(int s) {
   } catch (const ContractViolation& e) {
     throw ContractViolation(
         StrFormat("%s [while executing %s]", e.what(), step_ref().c_str()));
-  } catch (const std::out_of_range& e) {
-    throw ContractViolation(
-        StrFormat("missing per-op attribute (%s) [while executing %s]",
-                  e.what(), step_ref().c_str()));
   }
 }
 
 template <typename T>
 void GraphExecutorT<T>::Dispatch(const Step& step) {
   const auto op = [&](std::size_t member) -> const OpNode& {
-    return graph_.ops()[static_cast<std::size_t>(step.ops[member])];
+    return graph_->ops()[static_cast<std::size_t>(step.ops[member])];
+  };
+  const auto seed = [&](std::size_t member) {
+    return resolved_[static_cast<std::size_t>(step.ops[member])].dropout_seed;
   };
   // Operand roles follow fusion::LaunchOf's chain: each chained op's
   // first input is its predecessor's first output.
   switch (step.launch) {
     case fusion::FusedLaunch::kNone:
-      DispatchSingle(op(0), step.ops[0]);
+      DispatchSingle(step.ops[0]);
       return;
     case fusion::FusedLaunch::kDRLN: {
       // bias -> dropout -> residual -> layernorm, one pass over memory.
@@ -588,8 +618,7 @@ void GraphExecutorT<T>::Dispatch(const Step& step) {
       const OpNode& drop = op(1);
       const OpNode& resid = op(2);
       const OpNode& ln = op(3);
-      const DropoutMask mask(dropout_seed_.at(step.ops[1]),
-                             options_.dropout_prob);
+      const DropoutMask mask(seed(1), options_.dropout_prob);
       ops::BiasDropoutResidualLayerNorm(
           View(bias.inputs[0]), View(bias.inputs[1]), View(resid.inputs[1]),
           mask, View(ln.inputs[1]), View(ln.inputs[2]), NormDim(ln),
@@ -602,8 +631,7 @@ void GraphExecutorT<T>::Dispatch(const Step& step) {
       const OpNode& bias = op(0);
       const OpNode& relu = op(1);
       const OpNode& drop = op(2);
-      const DropoutMask mask(dropout_seed_.at(step.ops[2]),
-                             options_.dropout_prob);
+      const DropoutMask mask(seed(2), options_.dropout_prob);
       ops::BiasReluDropout(View(bias.inputs[0]), View(bias.inputs[1]), mask,
                            MutableView(relu.outputs[0]),
                            MutableView(drop.outputs[0]),
@@ -646,33 +674,33 @@ void GraphExecutorT<T>::Dispatch(const Step& step) {
 }
 
 template <typename T>
-void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
+void GraphExecutorT<T>::DispatchSingle(int op_index) {
+  const OpNode& op = graph_->ops()[static_cast<std::size_t>(op_index)];
+  const ResolvedOp& r = resolved_[static_cast<std::size_t>(op_index)];
   switch (op.kind) {
     case OpKind::kContraction: {
-      const ContractionOperands& o = contraction_operands_.at(op_index);
-      const EinsumSpec& spec = specs_.at(op_index);
-      const Tensor<T>& a = View(o.a);
-      const Tensor<T>& b = View(o.b);
-      Tensor<T>& out = MutableView(o.out);
+      const Tensor<T>& a = View(r.a);
+      const Tensor<T>& b = View(r.b);
+      Tensor<T>& out = MutableView(r.out);
       // The site's class (cached per spec and operand shapes) keys the
       // autotune bucket. Autotune looks up (or tunes, once, process-wide)
       // the execution strategy for the bucket, or returns the built-in
       // heuristic under XFLOW_AUTOTUNE=off. Measuring re-runs the real
       // dispatch -- legal because beta == 0 here, so every candidate
       // writes the same bits the final run writes.
-      const EinsumClassInfo& info = ClassifyEinsum(spec, a.shape(),
+      const EinsumClassInfo& info = ClassifyEinsum(r.spec, a.shape(),
                                                    b.shape());
       const config::TunedEntry tuned = config::Autotune(
           config::BucketOf(info.cls, info.extents,
                            static_cast<std::int64_t>(sizeof(T))),
           [&](const EinsumExecConfig& cand) {
             const auto t0 = std::chrono::steady_clock::now();
-            EinsumLowered(spec, info.cls, a, b, out, 1.0f, 0.0f, &cand);
+            EinsumLowered(r.spec, info.cls, a, b, out, 1.0f, 0.0f, &cand);
             return std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                 .count();
           });
-      EinsumLowered(spec, info.cls, a, b, out, 1.0f, 0.0f, &tuned.exec);
+      EinsumLowered(r.spec, info.cls, a, b, out, 1.0f, 0.0f, &tuned.exec);
       return;
     }
     case OpKind::kBias: {
@@ -713,8 +741,7 @@ void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
       ops::ReluForward(View(op.inputs[0]), MutableView(op.outputs[0]));
       return;
     case OpKind::kDropout: {
-      const DropoutMask mask(dropout_seed_.at(op_index),
-                             options_.dropout_prob);
+      const DropoutMask mask(r.dropout_seed, options_.dropout_prob);
       ops::DropoutForward(View(op.inputs[0]), mask,
                           MutableView(op.outputs[0]),
                           MutableView(op.outputs[1]));
@@ -726,8 +753,7 @@ void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
                            MutableView(op.outputs[0]));
       return;
     case OpKind::kScaledSoftmax: {
-      const DropoutMask mask(dropout_seed_.at(op_index),
-                             options_.dropout_prob);
+      const DropoutMask mask(r.dropout_seed, options_.dropout_prob);
       if (options_.causal) {
         ops::CausalScaledSoftmaxForward(
             View(op.inputs[0]), ReduceDim(op), 'j', options_.attn_scale, mask,
@@ -748,33 +774,9 @@ void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
                             StatView(op.outputs[1]),
                             StatView(op.outputs[2]));
       return;
-    case OpKind::kBiasDW: {
-      if (op.inputs.size() == 1) {
-        ops::BiasBackwardDW(View(op.inputs[0]), MutableView(op.outputs[0]));
-        return;
-      }
-      // Stacked bias gradient (the BAIB site).
-      const PlanGroup* g = GroupMatching(op.inputs, 0, op.inputs.size());
-      require(g != nullptr && op.inputs.size() == 3, [&] {
-        return StrFormat("bias dW '%s' has multiple inputs but no stacked "
-                         "group",
-                         op.name.c_str());
-      });
-      Tensor<T>& d_bias = MutableView(op.outputs[0]);
-      if (options_.use_fused_kernels) {
-        const std::string names = View(op.inputs[0]).shape().names();
-        std::array<Tensor<T>, 3> in;
-        for (std::size_t s = 0; s < 3; ++s) {
-          in[s] = Relabeled(View(op.inputs[s]), names);
-        }
-        const char stack_dim = d_bias.shape().dims().front().name;
-        ops::AttnInputBiasBackward<T>({&in[0], &in[1], &in[2]}, stack_dim,
-                                      d_bias);
-      } else {
-        ops::BiasBackwardDW(View(g->name), d_bias);
-      }
+    case OpKind::kBiasDW:
+      ops::BiasBackwardDW(View(r.a), MutableView(r.out));
       return;
-    }
     case OpKind::kReLUDX:
       ops::ReluBackwardDX(View(op.inputs[0]), View(op.inputs[1]),
                           MutableView(op.outputs[0]));

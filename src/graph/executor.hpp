@@ -32,12 +32,17 @@
 // Steady-state Run calls perform zero tensor or workspace allocations: all
 // views are non-owning aliases.
 //
-// The schedule runs *concurrently*: BuildSchedule derives a step-level
-// dependency DAG (an edge whenever two steps touch a common container and
-// at least one writes it, plus a planned-byte-overlap safety net), and
-// RunRange dispatches every dependency-free step as a TaskGroup task over
-// the work-stealing pool (an in-order loop when the pool has one thread or
-// the range one step).
+// The schedule runs *concurrently*: BuildStepDeps derives a step-level
+// dependency DAG in one sweep over the schedule, ordering two steps that
+// touch a common resource when at least one of them writes it. A resource
+// is an external container, or a slab byte segment (the bytes between two
+// neighbouring placement boundaries) for planned ones, so steps whose
+// containers share bytes are ordered even with no graph path between them.
+// Recompute clones need exactly that: the planner and the verifier let a
+// clone reuse bytes it has no graph path to because this ordering
+// serializes the steps that share them. RunRange dispatches every
+// dependency-free step as a TaskGroup task over the work-stealing pool (an
+// in-order loop when the pool has one thread or the range one step).
 // Independent graph branches -- the attention head and the residual leg,
 // the mutually independent dW/dX gradients -- overlap, while each step's
 // internal ParallelFor splits across the remaining workers (nested groups
@@ -88,18 +93,18 @@ struct ExecutorOptions {
   std::vector<std::uint64_t> dropout_seeds;
 };
 
-/// Interprets a DataflowGraph over a planned Workspace slab. `plan` and
-/// `workspace` (typically a StackArenaT's) must outlive the executor, the
-/// plan must stay unchanged, and the workspace must already be reserved
-/// to plan->PeakBytes(). The constructor's pre-flight runs
-/// Verify(graph, *plan, plan->options()) once, in every build, and throws
-/// InvalidArgument with the report's summary on any error; it also throws
-/// naming any declared fused span that is not a run of consecutive ops
-/// fusion::LaunchOf recognizes.
+/// Interprets a DataflowGraph over a planned Workspace slab. `graph`,
+/// `plan` and `workspace` (typically a StackArenaT's) must outlive the
+/// executor, the graph and plan must stay unchanged, and the workspace
+/// must already be reserved to plan->PeakBytes(). The constructor's
+/// pre-flight runs Verify(*graph, *plan, plan->options()) once, in every
+/// build, and throws InvalidArgument with the report's summary on any
+/// error; it also throws naming any declared fused span that is not a run
+/// of consecutive ops fusion::LaunchOf recognizes.
 template <typename T>
 class GraphExecutorT {
  public:
-  GraphExecutorT(DataflowGraph graph, const MemoryPlan* plan,
+  GraphExecutorT(const DataflowGraph* graph, const MemoryPlan* plan,
                  Workspace* workspace, ExecutorOptions options);
 
   /// Binds a read-only external container (graph input or weight). The
@@ -141,8 +146,7 @@ class GraphExecutorT {
   /// Backward(). Checkpoint recompute clones count as backward -- they run
   /// directly before the backward ops that read their outputs.
   [[nodiscard]] int backward_begin() const { return backward_begin_; }
-  [[nodiscard]] const DataflowGraph& graph() const { return graph_; }
-  [[nodiscard]] const ExecutorOptions& options() const { return options_; }
+  [[nodiscard]] const DataflowGraph& graph() const { return *graph_; }
   /// Number of scheduled kernel launches (fused spans count once).
   [[nodiscard]] int num_steps() const {
     return static_cast<int>(steps_.size());
@@ -155,10 +159,14 @@ class GraphExecutorT {
     fusion::FusedLaunch launch = fusion::FusedLaunch::kNone;
     std::vector<int> ops;  // graph op indices, consecutive
   };
-  /// Resolved operand roles of a contraction step (group names already
-  /// substituted for stacked member lists).
-  struct ContractionOperands {
+  /// An op's attributes, resolved once by BuildSchedule.
+  struct ResolvedOp {
+    EinsumSpec spec;  // kContraction: the parsed einsum
+    // Operand containers of a contraction (a x b -> out) or a bias
+    // gradient (a -> out), with a run of plan-group members replaced by
+    // the group, whose one spanning view the stacked kernel reads/writes.
     std::string a, b, out;
+    std::uint64_t dropout_seed = 0;  // kScaledSoftmax, kDropout
   };
 
   void BuildBindings();
@@ -184,16 +192,13 @@ class GraphExecutorT {
   /// every in-range successor whose dependency count hits zero.
   void RunStepTask(int s);
   void Dispatch(const Step& step);
-  void DispatchSingle(const OpNode& op, int op_index);
+  void DispatchSingle(int op_index);
 
   [[nodiscard]] Tensor<T>& View(const std::string& name);
   [[nodiscard]] Tensor<T>& MutableView(const std::string& name);
   [[nodiscard]] TensorF& StatView(const std::string& name);
-  [[nodiscard]] const PlanGroup* GroupMatching(
-      const std::vector<std::string>& names, std::size_t begin,
-      std::size_t count) const;
 
-  DataflowGraph graph_;
+  const DataflowGraph* graph_;
   const MemoryPlan* plan_;
   Workspace* workspace_;
   ExecutorOptions options_;
@@ -202,11 +207,9 @@ class GraphExecutorT {
   std::map<std::string, Tensor<T>> bound_;  // planned views + externals
   std::map<std::string, bool> writable_;    // externals only
   std::map<std::string, TensorF> stats_;    // fp32 statistics views
-  std::map<int, EinsumSpec> specs_;         // parsed once per contraction
-  std::map<int, ContractionOperands> contraction_operands_;
-  std::map<int, std::uint64_t> dropout_seed_;  // per dropout-bearing op
-  std::vector<std::int32_t> tokens_;           // kEmbed/kEmbedDW input
-  double last_loss_ = 0;                       // kMseLoss scalar result
+  std::vector<ResolvedOp> resolved_;        // by op index
+  std::vector<std::int32_t> tokens_;        // kEmbed/kEmbedDW input
+  double last_loss_ = 0;                    // kMseLoss scalar result
   std::vector<Step> steps_;
   // Step-level dependency DAG (BuildStepDeps): edges always point from
   // the earlier schedule index to the later one, so step j runs only

@@ -295,11 +295,11 @@ MemoryPlan PlanMemory(const DataflowGraph& graph,
   // so no graph path orders them against the subgraphs whose bytes they
   // should reuse (another layer's backward temporaries) -- yet that reuse
   // is exactly what makes checkpointing pay. It is still race-free: the
-  // executor's byte-span safety net (BuildStepDeps) serializes
-  // byte-sharing steps in schedule order, so for clone-involved pairs
-  // kernel-level schedule order alone licenses reuse. The verifier
-  // mirrors this by exempting clone-involved pairs from
-  // plan/concurrent-overlap (their liveness is still checked).
+  // executor orders steps by the slab bytes they touch (BuildStepDeps),
+  // which serializes byte-sharing steps in schedule order, so for
+  // clone-involved pairs kernel-level schedule order alone licenses
+  // reuse. The verifier mirrors this by exempting clone-involved pairs
+  // from plan/concurrent-overlap (their liveness is still checked).
   auto clone_unit = [&](const Unit& u) {
     for (int w : u.writers) {
       if (graph.ops()[static_cast<std::size_t>(w)].recompute_of.empty()) {

@@ -960,10 +960,11 @@ void CheckPlan(const DataflowGraph& g, const MemoryPlan& plan,
         }
         // Clone-involved byte sharing is exempt: recompute clones have no
         // graph path to the subgraphs whose bytes they reuse, but the
-        // executor's byte-span safety net (BuildStepDeps) serializes
-        // byte-sharing steps in schedule order, and the liveness rules
-        // above already rejected any window overlap. Mirrors the
-        // planner's clone relaxation (graph/memory_plan.cpp).
+        // executor orders steps by the slab bytes they touch
+        // (BuildStepDeps), which serializes byte-sharing steps in schedule
+        // order, and the liveness rules above already rejected any window
+        // overlap. Mirrors the planner's clone relaxation
+        // (graph/memory_plan.cpp).
         const auto clone_made = [&](const Touched& t) {
           return t.producer >= 0 &&
                  !g.ops()[static_cast<std::size_t>(t.producer)]

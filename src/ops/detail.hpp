@@ -741,20 +741,20 @@ inline void ForEachRowReduce(const LoopDims& ld, std::span<float> acc,
 }
 
 /// Shared bias-gradient reduction: folds dy over every dim the gradient
-/// view lacks (stride 0), accumulating part[extra_base + Off(dbv, ...)].
-/// One definition keeps the combine tree identical across BiasBackwardDW,
-/// the fused BDRB bias stream, and the stacked AttnInputBias gradient --
-/// which is what makes their fused==unfused bitwise matches hold.
+/// view lacks (stride 0), accumulating part[Off(dbv, ...)]. One definition
+/// keeps the combine tree identical across BiasBackwardDW (which also runs
+/// the stacked BAIB gradient, over the [dQ~ dK~ dV~] group view) and the
+/// fused BDRB bias stream -- which is what makes their fused==unfused
+/// bitwise matches hold.
 template <typename T>
 inline void ReduceBiasRows(const LoopDims& ld, const View<const T, 4>& dyv,
-                           const View<T, 4>& dbv, std::int64_t extra_base,
-                           std::span<float> acc) {
+                           const View<T, 4>& dbv, std::span<float> acc) {
   const std::int64_t n = ld.extents[3];
   ForEachRowReduce(
       ld, acc,
       [&, n](std::int64_t a, std::int64_t b, std::int64_t c, float* part,
              const auto& dyr) {
-        const std::int64_t base = extra_base + Off(dbv, a, b, c, 0);
+        const std::int64_t base = Off(dbv, a, b, c, 0);
         for (std::int64_t d = 0; d < n; ++d) {
           part[base + d * dbv.stride[3]] += float(dyr[d]);
         }

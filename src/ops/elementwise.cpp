@@ -127,7 +127,7 @@ void BiasBackwardDW(const Tensor<T>& dy, Tensor<T>& db) {
   const auto ld = LoopOverOutput(dy.shape());
   auto dyv = View<const T, 4>::Bind(dy, ld.names);
   auto dbv = View<T, 4>::Bind(db, ld.names);  // stride 0 on reduced dims
-  detail::ReduceBiasRows(ld, dyv, dbv, 0, acc);
+  detail::ReduceBiasRows(ld, dyv, dbv, acc);
   for (std::int64_t i = 0; i < db.size(); ++i) {
     db.data()[i] = T(acc[static_cast<std::size_t>(i)]);
   }

@@ -189,7 +189,7 @@ void BiasDropoutReluBiasBackward(const Tensor<T>& dy_hi,
     const auto ld = LoopOverOutput(dy_hi.shape());
     auto dyv = View<const T, 4>::Bind(dy_hi, ld.names);
     auto dbv = View<T, 4>::Bind(d_bias_hi, ld.names);
-    detail::ReduceBiasRows(ld, dyv, dbv, 0, acc);
+    detail::ReduceBiasRows(ld, dyv, dbv, acc);
     for (std::int64_t i = 0; i < d_bias_hi.size(); ++i) {
       d_bias_hi.data()[i] = T(acc[static_cast<std::size_t>(i)]);
     }
@@ -272,42 +272,6 @@ void ResidualLayerNormDwBackward(const Tensor<T>& da, const Tensor<T>& db,
   }
 }
 
-template <typename T>
-void AttnInputBiasBackward(const std::array<const Tensor<T>*, 3>& d_inputs,
-                           char stack_dim, Tensor<T>& d_stacked_bias) {
-  std::vector<float> acc(static_cast<std::size_t>(d_stacked_bias.size()),
-                         0.0f);
-  const std::int64_t slice = d_inputs[0]->extent(stack_dim);
-  const std::int64_t stack_stride = d_stacked_bias.stride(stack_dim);
-  // Each slice's accumulator range is contiguous iff the stacked dim is
-  // the bias tensor's outermost dim; then the per-slice reduction can run
-  // on a slice-sized subspan (3x smaller partial buffers and combines).
-  const bool slices_contiguous =
-      stack_stride * d_stacked_bias.extent(stack_dim) ==
-      d_stacked_bias.size();
-  const std::size_t slice_floats =
-      static_cast<std::size_t>(slice * stack_stride);
-  for (std::size_t s = 0; s < 3; ++s) {
-    const Tensor<T>& dy = *d_inputs[s];
-    const auto ld = LoopOverOutput(dy.shape());
-    auto dyv = View<const T, 4>::Bind(dy, ld.names);
-    auto dbv = View<T, 4>::Bind(d_stacked_bias, ld.names);
-    const std::int64_t stack_base =
-        static_cast<std::int64_t>(s) * slice * stack_stride;
-    if (slices_contiguous) {
-      detail::ReduceBiasRows(
-          ld, dyv, dbv, 0,
-          std::span<float>(acc).subspan(static_cast<std::size_t>(stack_base),
-                                        slice_floats));
-    } else {
-      detail::ReduceBiasRows(ld, dyv, dbv, stack_base, acc);
-    }
-  }
-  for (std::int64_t i = 0; i < d_stacked_bias.size(); ++i) {
-    d_stacked_bias.data()[i] = T(acc[static_cast<std::size_t>(i)]);
-  }
-}
-
 #define XFLOW_INSTANTIATE_FUSED(T)                                            \
   template void BiasReluDropout<T>(const Tensor<T>&, const Tensor<T>&,        \
                                    const DropoutMask&, Tensor<T>&,            \
@@ -324,9 +288,7 @@ void AttnInputBiasBackward(const std::array<const Tensor<T>*, 3>& d_inputs,
       float, Tensor<T>&, Tensor<T>&, Tensor<T>&);                             \
   template void ResidualLayerNormDwBackward<T>(                               \
       const Tensor<T>&, const Tensor<T>&, const Tensor<T>&, const TensorF&,   \
-      const TensorF&, char, Tensor<T>&, Tensor<T>&, Tensor<T>&);              \
-  template void AttnInputBiasBackward<T>(                                     \
-      const std::array<const Tensor<T>*, 3>&, char, Tensor<T>&)
+      const TensorF&, char, Tensor<T>&, Tensor<T>&, Tensor<T>&)
 
 XFLOW_INSTANTIATE_FUSED(Half);
 XFLOW_INSTANTIATE_FUSED(float);

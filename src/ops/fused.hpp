@@ -12,10 +12,9 @@
 //   BS     backward dropout + softmax + scaling      (softmax.hpp)
 //   BEI    backward encoder-input residual           (elementwise.hpp)
 //   BAOB   backward attention output bias            (elementwise.hpp)
-//   BAIB   backward attention input bias
+//   BAIB   backward attention input bias             (elementwise.hpp: one
+//          BiasBackwardDW over the stacked [dQ~ dK~ dV~] group view)
 #pragma once
-
-#include <array>
 
 #include "common/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -70,10 +69,5 @@ void ResidualLayerNormDwBackward(const Tensor<T>& da, const Tensor<T>& db,
                                  const TensorF& rstd, char norm_dim,
                                  Tensor<T>& d_sum, Tensor<T>& dgamma,
                                  Tensor<T>& dbeta);
-
-/// BAIB: db_stacked[slice s] = sum over (b, j) of d_inputs[s].
-template <typename T>
-void AttnInputBiasBackward(const std::array<const Tensor<T>*, 3>& d_inputs,
-                           char stack_dim, Tensor<T>& d_stacked_bias);
 
 }  // namespace xflow::ops

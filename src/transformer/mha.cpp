@@ -64,7 +64,7 @@ MhaLayerT<T>::MhaLayerT(MhaConfig config, MhaParamsT<T> params)
   std::uint64_t seed_state = config_.seed;
   opts.dropout_seeds = {SplitMix64(seed_state)};  // the one SM site
   executor_ = std::make_unique<graph::GraphExecutorT<T>>(
-      arena_.graph(), &arena_.plan(), &arena_.workspace(), std::move(opts));
+      &arena_.graph(), &arena_.plan(), &arena_.workspace(), std::move(opts));
 }
 
 template <typename T>

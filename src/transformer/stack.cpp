@@ -84,7 +84,7 @@ graph::GraphExecutorT<T>& EncoderStackT<T>::Executor(
       }
     }
     stack_executor_ = std::make_unique<graph::GraphExecutorT<T>>(
-        arena.graph(), &arena.plan(), &arena.workspace(), std::move(opts));
+        &arena.graph(), &arena.plan(), &arena.workspace(), std::move(opts));
     stack_arena_ = &arena;
     stack_slab_ = arena.workspace().data();
     // Weights are stable across steps: bind them once per executor, under

@@ -46,10 +46,10 @@ TEST(GraphExecutor, ScheduleAndBoundary) {
   LayerFixture f;
   const graph::DataflowGraph& g = f.arena.graph();
   f.opts.use_fused_kernels = true;
-  graph::GraphExecutorT<Half> fused_exec(g, &f.arena.plan(),
+  graph::GraphExecutorT<Half> fused_exec(&g, &f.arena.plan(),
                                          &f.arena.workspace(), f.opts);
   f.opts.use_fused_kernels = false;
-  graph::GraphExecutorT<Half> unfused_exec(g, &f.arena.plan(),
+  graph::GraphExecutorT<Half> unfused_exec(&g, &f.arena.plan(),
                                            &f.arena.workspace(), f.opts);
   // The backward boundary is the first backward-kind op ("layernorm 2
   // dW"), identical in both schedules.
@@ -65,11 +65,18 @@ TEST(GraphExecutor, ScheduleAndBoundary) {
   EXPECT_LT(fused_exec.num_steps(), unfused_exec.num_steps());
 }
 
+TEST(GraphExecutor, BorrowsItsArenasGraph) {
+  LayerFixture f;
+  graph::GraphExecutorT<Half> exec(&f.arena.graph(), &f.arena.plan(),
+                                   &f.arena.workspace(), f.opts);
+  EXPECT_EQ(&exec.graph(), &f.arena.graph());
+}
+
 TEST(GraphExecutor, RequiresExternalBindings) {
   // Running without binding the graph inputs/weights must fail loudly,
   // naming the container, instead of reading unbound memory.
   LayerFixture f;
-  graph::GraphExecutorT<Half> exec(f.arena.graph(), &f.arena.plan(),
+  graph::GraphExecutorT<Half> exec(&f.arena.graph(), &f.arena.plan(),
                                    &f.arena.workspace(), f.opts);
   EXPECT_THROW(exec.Forward(), InvalidArgument);
 }
@@ -79,7 +86,7 @@ TEST(GraphExecutor, RejectsDropoutProbabilityOutsideTheUnitInterval) {
   for (const float p : {-0.5f, 1.5f, std::nanf("")}) {
     f.opts.dropout_prob = p;
     try {
-      graph::GraphExecutorT<Half> exec(f.arena.graph(), &f.arena.plan(),
+      graph::GraphExecutorT<Half> exec(&f.arena.graph(), &f.arena.plan(),
                                        &f.arena.workspace(), f.opts);
       ADD_FAILURE() << "dropout probability " << p << " was accepted";
     } catch (const InvalidArgument& e) {
@@ -207,7 +214,7 @@ TEST(GraphExecutor, RejectsDeclaredSpansItCannotLaunchByName) {
     graph::ExecutorOptions opts;
     opts.dropout_seeds = {1};
     try {
-      graph::GraphExecutorT<float> exec(g, &plan, &ws, opts);
+      graph::GraphExecutorT<float> exec(&g, &plan, &ws, opts);
       ADD_FAILURE() << "span was accepted";
     } catch (const InvalidArgument& e) {
       const std::string name = "'" + Join(c.span, "' + '") + "'";
@@ -216,7 +223,7 @@ TEST(GraphExecutor, RejectsDeclaredSpansItCannotLaunchByName) {
     }
     // Unfused execution runs every op alone and ignores the spans.
     opts.use_fused_kernels = false;
-    EXPECT_EQ(graph::GraphExecutorT<float>(g, &plan, &ws, opts).num_steps(),
+    EXPECT_EQ(graph::GraphExecutorT<float>(&g, &plan, &ws, opts).num_steps(),
               3);
   }
   // The same span over the chained graph is one BRD launch.
@@ -227,7 +234,7 @@ TEST(GraphExecutor, RejectsDeclaredSpansItCannotLaunchByName) {
   Workspace ws(plan.PeakBytes());
   graph::ExecutorOptions opts;
   opts.dropout_seeds = {1};
-  EXPECT_EQ(graph::GraphExecutorT<float>(g, &plan, &ws, opts).num_steps(), 1);
+  EXPECT_EQ(graph::GraphExecutorT<float>(&g, &plan, &ws, opts).num_steps(), 1);
 }
 
 TEST(GraphExecutor, RejectsExternalsShapedUnlikeTheirContainer) {

@@ -541,7 +541,7 @@ TEST(ExecutorPreflight, RejectsACorruptedPlanAtConstruction) {
   Workspace ws;
   ws.Reserve(plan.PeakBytes());
   try {
-    GraphExecutorT<float> exec(f.graph, &plan, &ws, ExecutorOptions{});
+    GraphExecutorT<float> exec(&f.graph, &plan, &ws, ExecutorOptions{});
     FAIL() << "expected the pre-flight to reject the plan";
   } catch (const InvalidArgument& e) {
     const std::string msg = e.what();
@@ -573,7 +573,7 @@ struct ReluExecFixture {
     workspace.Reserve(plan.PeakBytes());
   }
   GraphExecutorT<float> MakeExecutor() {
-    return {graph, &plan, &workspace, ExecutorOptions{}};
+    return {&graph, &plan, &workspace, ExecutorOptions{}};
   }
 };
 
@@ -666,7 +666,7 @@ TEST(ExecutorBindings, RejectsForeignDimsAtBindAndAcceptsAnyOrder) {
   const auto plan = PlanMemory(g, options);
   Workspace ws;
   ws.Reserve(plan.PeakBytes());
-  GraphExecutorT<float> exec(g, &plan, &ws, ExecutorOptions{});
+  GraphExecutorT<float> exec(&g, &plan, &ws, ExecutorOptions{});
   const auto w_bad = TensorF::Random(Shape("pq", {3, 4}), 7);
   try {
     exec.BindInput("w", w_bad);  // 12 elements, wrong dim names

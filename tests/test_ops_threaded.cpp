@@ -326,23 +326,6 @@ TEST_F(OpsThreadedDeterminism, FusedBackwardFloat) {
   FusedBackwardCase<float>();
 }
 
-TEST_F(OpsThreadedDeterminism, AttnInputBiasBackward) {
-  const Shape proj("phbj", {6, 3, 4, 11});
-  auto qq = TensorH::Random(proj, 25);
-  auto kk = TensorH::Random(proj, 26);
-  auto vv = TensorH::Random(proj, 27);
-  TensorH d_bias(Shape("ph", {18, 3}));
-
-  ExpectThreadInvariant(
-      [&] { ops::AttnInputBiasBackward<Half>({&qq, &kk, &vv}, 'p', d_bias); },
-      [&] {
-        auto db1 = d_bias;
-        return [&, db1](int threads) {
-          EXPECT_TRUE(BitwiseSame(db1, d_bias)) << "t=" << threads;
-        };
-      });
-}
-
 // ----------------------- strided (staged) vs contiguous, bitwise
 
 // The transpose-on-the-fly path stages strided rows through per-thread

@@ -4,10 +4,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace xflow {
 namespace {
@@ -107,6 +111,25 @@ TEST(ThreadPool, GlobalPoolExistsAndSetGlobalThreadsResizes) {
   EXPECT_EQ(count.load(), 33);
   // Restore the env-resolved default for any later test in this binary.
   ThreadPool::SetGlobalThreads(ThreadPool::ResolveGlobalThreads());
+}
+
+TEST(ThreadPool, RejectsThreadCountsAboveTheMaximum) {
+  // Only the rejection is tested: the check runs before any worker
+  // starts, and an accepted count this large would start them.
+  const int before = ThreadPool::Global().threads();
+  for (const int threads : {1025, std::numeric_limits<int>::max()}) {
+    SCOPED_TRACE(threads);
+    EXPECT_THROW(ThreadPool pool(threads), InvalidArgument);
+    try {
+      ThreadPool::SetGlobalThreads(threads);
+      ADD_FAILURE() << "the global pool accepted the count";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(threads)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(ThreadPool::Global().threads(), before);
+  }
 }
 
 TEST(ThreadPool, ResolveGlobalThreadsIsPositive) {
