@@ -24,6 +24,7 @@
 #include "graph/memory_plan.hpp"
 #include "graph/verify.hpp"
 #include "ops/elementwise.hpp"
+#include "ops/embedding.hpp"
 #include "ops/fused.hpp"
 #include "ops/layernorm.hpp"
 #include "ops/softmax.hpp"
@@ -434,6 +435,102 @@ void BM_AdamStep(benchmark::State& state) {
                           (2 + 4 * 3 + 4 * 3 + 2));
 }
 BENCHMARK(BM_AdamStep)->ArgName("threads")->Arg(1)->Arg(8)->UseRealTime();
+
+// The training step's embedding, loss head and BDRB backward at
+// train-base shapes: I=768, U=3072, B=2, J=128, a vocabulary of 1024, x
+// stored [ibj] as the whole-stack graph stores it.
+constexpr std::int64_t kBaseI = 768, kBaseU = 3072, kBaseB = 2, kBaseJ = 128,
+                       kBaseVocab = 1024;
+const Shape kBaseIbj("ibj", {kBaseI, kBaseB, kBaseJ});
+
+std::vector<std::int32_t> BaseTokens() {
+  std::vector<std::int32_t> tokens(static_cast<std::size_t>(kBaseB * kBaseJ));
+  for (std::size_t e = 0; e < tokens.size(); ++e) {
+    tokens[e] = static_cast<std::int32_t>(e * 389 % kBaseVocab);
+  }
+  return tokens;
+}
+
+void BM_EmbeddingForward(benchmark::State& state) {
+  ThreadGuard threads(static_cast<int>(state.range(0)));
+  const auto token_table =
+      TensorH::Random(Shape("vi", {kBaseVocab, kBaseI}), 1);
+  const auto pos_table = TensorH::Random(Shape("ji", {kBaseJ, kBaseI}), 2);
+  const auto tokens = BaseTokens();
+  TensorH x(kBaseIbj);
+  for (auto _ : state) {
+    ops::EmbeddingForwardKernel(token_table, pos_table, tokens, x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  // Read one token row per position and the positional table, write x.
+  state.SetBytesProcessed(state.iterations() *
+                          (kBaseIbj.num_elements() * 2 * 2 +
+                           kBaseJ * kBaseI * 2));
+}
+BENCHMARK(BM_EmbeddingForward)
+    ->ArgName("threads")->Arg(1)->Arg(8)->UseRealTime();
+
+void BM_EmbeddingBackward(benchmark::State& state) {
+  ThreadGuard threads(static_cast<int>(state.range(0)));
+  const auto d_x = TensorH::Random(kBaseIbj, 3);
+  const auto tokens = BaseTokens();
+  TensorH d_token(Shape("vi", {kBaseVocab, kBaseI}));
+  TensorH d_pos(Shape("ji", {kBaseJ, kBaseI}));
+  for (auto _ : state) {
+    ops::EmbeddingBackwardKernel(d_x, tokens, d_token, d_pos);
+    benchmark::DoNotOptimize(d_token.data());
+    benchmark::ClobberMemory();
+  }
+  // Read d_x, write both gradient tables.
+  state.SetBytesProcessed(state.iterations() *
+                          (kBaseIbj.num_elements() +
+                           (kBaseVocab + kBaseJ) * kBaseI) *
+                          2);
+}
+BENCHMARK(BM_EmbeddingBackward)
+    ->ArgName("threads")->Arg(1)->Arg(8)->UseRealTime();
+
+void BM_MseLoss(benchmark::State& state) {
+  ThreadGuard threads(static_cast<int>(state.range(0)));
+  const auto y = TensorH::Random(kBaseIbj, 4);
+  const auto target = TensorH::Random(kBaseIbj, 5);
+  TensorH d_y(kBaseIbj);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops::MseLossKernel(y, target, d_y));
+    benchmark::ClobberMemory();
+  }
+  // Read y + target, write d_y.
+  state.SetBytesProcessed(state.iterations() * kBaseIbj.num_elements() * 2 *
+                          3);
+}
+BENCHMARK(BM_MseLoss)->ArgName("threads")->Arg(1)->Arg(8)->UseRealTime();
+
+void BM_FusedBDRB(benchmark::State& state) {
+  ThreadGuard threads(static_cast<int>(state.range(0)));
+  const Shape ubj("ubj", {kBaseU, kBaseB, kBaseJ});
+  const auto dy_hi = TensorH::Random(kBaseIbj, 6);
+  const auto dy_lo = TensorH::Random(ubj, 7);
+  const auto relu_saved = TensorH::Random(ubj, 8);
+  const DropoutMask mask(9, 0.1f);
+  TensorH dropped(ubj), drop_mask(ubj);
+  ops::DropoutForward(relu_saved, mask, dropped, drop_mask);
+  TensorH d_bias_hi(Shape("i", {kBaseI})), d_x_lo(ubj);
+  TensorH d_bias_lo(Shape("u", {kBaseU}));
+  for (auto _ : state) {
+    ops::BiasDropoutReluBiasBackward(dy_hi, dy_lo, drop_mask, relu_saved,
+                                     mask.Scale(), d_bias_hi, d_x_lo,
+                                     d_bias_lo);
+    benchmark::DoNotOptimize(d_x_lo.data());
+    benchmark::ClobberMemory();
+  }
+  // Read dy_hi + dy_lo + mask + relu_saved, write d_x_lo (the bias
+  // gradients are negligible).
+  state.SetBytesProcessed(state.iterations() *
+                          (kBaseIbj.num_elements() + ubj.num_elements() * 4) *
+                          2);
+}
+BENCHMARK(BM_FusedBDRB)->ArgName("threads")->Arg(1)->Arg(8)->UseRealTime();
 
 void BM_EncoderGemm(benchmark::State& state) {
   // The encoder's feed-forward GEMMs at BERT-base widths (I=768, U=3072,

@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(args.GetInt("steps", 40));
   const std::int64_t vocab = args.GetInt("vocab", 17);
   if (args.Has("threads")) {
-    ThreadPool::SetGlobalThreads(
-        static_cast<int>(args.GetInt("threads", 1)));
+    ThreadPool::SetGlobalThreads(args.GetInt("threads", 1));
   }
 
   graph::ModelDims dims;

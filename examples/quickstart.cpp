@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
   // overrides the XFLOW_THREADS env var, which overrides the core count.
   const ArgParser args(argc, argv);
   if (args.Has("threads")) {
-    ThreadPool::SetGlobalThreads(
-        static_cast<int>(args.GetInt("threads", 1)));
+    ThreadPool::SetGlobalThreads(args.GetInt("threads", 1));
   }
   std::printf("xflow threads: %d\n", ThreadPool::Global().threads());
 

@@ -34,12 +34,12 @@ constexpr int kMaxThreads = 1024;
 
 /// `threads` clamped to at least 1; throws InvalidArgument naming it when
 /// it exceeds kMaxThreads, before anything is allocated or started.
-int CheckedThreads(int threads) {
+int CheckedThreads(std::int64_t threads) {
   require(threads <= kMaxThreads, [&] {
-    return StrFormat("thread count %d is above the maximum of %d", threads,
-                     kMaxThreads);
+    return StrFormat("thread count %lld is above the maximum of %d",
+                     static_cast<long long>(threads), kMaxThreads);
   });
-  return std::max(1, threads);
+  return static_cast<int>(std::max<std::int64_t>(1, threads));
 }
 
 int HardwareThreads() {
@@ -462,7 +462,7 @@ ThreadPool& ThreadPool::Global() {
   return *g_global_pool;
 }
 
-void ThreadPool::SetGlobalThreads(int threads) {
+void ThreadPool::SetGlobalThreads(std::int64_t threads) {
   const int checked = CheckedThreads(threads);
   MutexLock lock(g_global_mu);
   if (g_global_pool) {

@@ -77,11 +77,12 @@ class ThreadPool {
   /// count (see header comment for the resolution order).
   static ThreadPool& Global();
   /// Rebuilds the global pool with `threads` workers (clamped to >= 1).
-  /// Above 1024 it throws InvalidArgument and keeps the current pool.
-  /// Resizing while any TaskGroup or ParallelFor is active on the global
-  /// pool would tear down workers mid-task, so it throws InvalidArgument
-  /// when active work is detected instead of racing.
-  static void SetGlobalThreads(int threads);
+  /// Above 1024 it throws InvalidArgument naming the count, unnarrowed,
+  /// and keeps the current pool. Resizing while any TaskGroup or
+  /// ParallelFor is active on the global pool would tear down workers
+  /// mid-task, so it throws InvalidArgument when active work is detected
+  /// instead of racing.
+  static void SetGlobalThreads(std::int64_t threads);
   /// Thread count the global pool would use if created now.
   static int ResolveGlobalThreads();
 

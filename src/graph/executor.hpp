@@ -106,6 +106,12 @@ class GraphExecutorT {
  public:
   GraphExecutorT(const DataflowGraph* graph, const MemoryPlan* plan,
                  Workspace* workspace, ExecutorOptions options);
+  // Neither copyable nor movable: the concurrent dispatch's step runners
+  // point back at this object from construction on.
+  GraphExecutorT(const GraphExecutorT&) = delete;
+  GraphExecutorT& operator=(const GraphExecutorT&) = delete;
+  GraphExecutorT(GraphExecutorT&&) = delete;
+  GraphExecutorT& operator=(GraphExecutorT&&) = delete;
 
   /// Binds a read-only external container (graph input or weight). The
   /// tensor must have the container's dims and extents, in any memory

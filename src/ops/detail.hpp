@@ -44,7 +44,9 @@
 // in chunk order. The floating-point summation tree is therefore a pure
 // function of the loop extents, so results are bitwise stable across
 // thread counts *and* fused kernels match their unfused pipelines exactly
-// (both iterate the same extents).
+// (both iterate the same extents). Bias gradients add one more rule: map
+// the row, then fold it in ascending order through the one FoldBiasRow,
+// so a fused bias fold runs the unfused fold's additions by construction.
 //
 // Horizontal reductions *within* a row (softmax max, layernorm moments,
 // the dX dot products) go through the Row* helpers below: fixed-width
@@ -740,12 +742,41 @@ inline void ForEachRowReduce(const LoopDims& ld, std::span<float> acc,
       });
 }
 
+// ------------------------------------------------------ bias gradients
+// Every bias-gradient fold -- BiasBackwardDW (which also runs the stacked
+// BAIB gradient over the [dQ~ dK~ dV~] group view) and both streams of the
+// fused BDRB -- maps its row first (BDRB writes its dX row there) and then
+// folds the row through FoldBiasRow.
+
+/// Adds row[0, n) into the fp32 partial at `part`, whose stride along the
+/// row is `stride`: a bias that broadcasts along the row (stride 0) takes
+/// one scalar chain in ascending order, any other stride an element-wise
+/// add. The row is converted to fp32 a chunk at a time first. The chain
+/// carries no XFLOW_SIMD: clang lowers it to `omp simd`, which may reorder
+/// the chain. Out of line, so every kernel runs the same instructions.
+template <typename T>
+[[gnu::noinline]] inline void FoldBiasRow(const T* row, std::int64_t n,
+                                          float* part, std::int64_t stride) {
+  constexpr std::int64_t kChunk = 256;
+  alignas(64) float f[kChunk] = {};
+  for (std::int64_t k0 = 0; k0 < n; k0 += kChunk) {
+    const std::int64_t len = std::min(kChunk, n - k0);
+    XFLOW_SIMD
+    for (std::int64_t t = 0; t < len; ++t) f[t] = float(row[k0 + t]);
+    if (stride == 0) {
+      float s = *part;
+      for (std::int64_t t = 0; t < len; ++t) s += f[t];
+      *part = s;
+    } else {
+      float* p = part + k0 * stride;
+      XFLOW_SIMD
+      for (std::int64_t t = 0; t < len; ++t) p[t * stride] += f[t];
+    }
+  }
+}
+
 /// Shared bias-gradient reduction: folds dy over every dim the gradient
-/// view lacks (stride 0), accumulating part[Off(dbv, ...)]. One definition
-/// keeps the combine tree identical across BiasBackwardDW (which also runs
-/// the stacked BAIB gradient, over the [dQ~ dK~ dV~] group view) and the
-/// fused BDRB bias stream -- which is what makes their fused==unfused
-/// bitwise matches hold.
+/// view lacks (stride 0) into part[Off(dbv, ...)], one FoldBiasRow per row.
 template <typename T>
 inline void ReduceBiasRows(const LoopDims& ld, const View<const T, 4>& dyv,
                            const View<T, 4>& dbv, std::span<float> acc) {
@@ -754,10 +785,7 @@ inline void ReduceBiasRows(const LoopDims& ld, const View<const T, 4>& dyv,
       ld, acc,
       [&, n](std::int64_t a, std::int64_t b, std::int64_t c, float* part,
              const auto& dyr) {
-        const std::int64_t base = Off(dbv, a, b, c, 0);
-        for (std::int64_t d = 0; d < n; ++d) {
-          part[base + d * dbv.stride[3]] += float(dyr[d]);
-        }
+        FoldBiasRow(dyr.p, n, part + Off(dbv, a, b, c, 0), dbv.stride[3]);
       },
       In{dyv});
 }

@@ -195,7 +195,8 @@ void BiasDropoutReluBiasBackward(const Tensor<T>& dy_hi,
     }
   }
   // Stream 2: dropout dX -> relu dX -> bias dW, without storing interims.
-  // The dX writes are row-exclusive, so they ride along with the reduction.
+  // The dX writes are row-exclusive, so they ride along with the reduction:
+  // each row maps its dX, then folds it like ReduceBiasRows.
   {
     std::vector<float> acc(static_cast<std::size_t>(d_bias_lo.size()), 0.0f);
     const auto ld = LoopOverOutput(d_x_lo.shape());
@@ -210,17 +211,18 @@ void BiasDropoutReluBiasBackward(const Tensor<T>& dy_hi,
         [&, n, keep_scale](std::int64_t a, std::int64_t b, std::int64_t c,
                            float* part, const auto& dyr, const auto& mr,
                            const auto& rr, const auto& dxr) {
-          const std::int64_t base = Off(dbv, a, b, c, 0);
+          XFLOW_SIMD
           for (std::int64_t d = 0; d < n; ++d) {
             // Match unfused pipeline: dropout dX result is rounded to T
             // before the ReLU gate, as it would be when written to memory.
             const float dd =
                 float(T(float(dyr[d]) * float(mr[d]) * keep_scale));
             const bool active = float(rr[d]) > 0.0f;
-            const T dx = active ? T(dd) : T(0.0f);
-            dxr[d] = dx;
-            part[base + d * dbv.stride[3]] += float(dx);
+            dxr[d] = active ? T(dd) : T(0.0f);
           }
+          // The bias fold reads the dX row back, as BiasBackwardDW would.
+          detail::FoldBiasRow(dxr.p, n, part + Off(dbv, a, b, c, 0),
+                              dbv.stride[3]);
         },
         In{dyv}, In{mv}, In{rv}, Out{dxv});
     for (std::int64_t i = 0; i < d_bias_lo.size(); ++i) {

@@ -15,6 +15,7 @@
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
 #include "tensor/memstats.hpp"
+#include "test_util.hpp"
 
 // Heap allocations on any thread while counting is on. Replacing the
 // global allocation functions is the one way to see the allocations a
@@ -42,13 +43,7 @@ std::atomic<int> g_allocs{0};
 namespace xflow {
 namespace {
 
-class ThreadGuard {
- public:
-  explicit ThreadGuard(int threads) { ThreadPool::SetGlobalThreads(threads); }
-  ~ThreadGuard() {
-    ThreadPool::SetGlobalThreads(ThreadPool::ResolveGlobalThreads());
-  }
-};
+using testutil::ThreadGuard;
 
 TEST(EinsumSpec, ParsesAndClassifiesMhaProjection) {
   // Input projection from the paper's MHA code: wq[phi] * q[ibj] -> [phbj].

@@ -3,15 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ops/elementwise.hpp"
 #include "ops/fused.hpp"
 #include "ops/layernorm.hpp"
 #include "ops/softmax.hpp"
+#include "test_util.hpp"
 
 namespace xflow::ops {
 namespace {
+
+using testutil::BitwiseSame;
+using testutil::ThreadGuard;
 
 constexpr float kEps = 1e-5f;
 
@@ -110,6 +116,100 @@ TEST(FusedBDRB, MatchesFourOperatorBackwardPipeline) {
   EXPECT_EQ(MaxAbsDiff(d_b_hi_ref, d_b_hi_f), 0.0);
   EXPECT_EQ(MaxAbsDiff(d_x_ref, d_x_f), 0.0);
   EXPECT_EQ(MaxAbsDiff(d_b_lo_ref, d_b_lo_f), 0.0);
+}
+
+/// The serial bias fold the kernels replaced, written out: dy's rows are
+/// its outer dims in memory order and a row is its innermost dim. The rows
+/// split into min(rows, 64) fixed chunks; each chunk adds its elements in
+/// memory order into a zeroed fp32 partial, and the partials add into the
+/// gradient in chunk order, which is rounded once.
+template <typename T>
+void SerialBiasFold(const Tensor<T>& dy, Tensor<T>& db) {
+  const auto& dims = dy.shape().dims();
+  const std::int64_t n = dims.back().extent;
+  const std::int64_t rows = dy.size() / n;
+  const std::int64_t chunks = std::min<std::int64_t>(rows, 64);
+  std::vector<float> acc(static_cast<std::size_t>(db.size()));
+  for (std::int64_t ci = 0; ci < chunks; ++ci) {
+    std::vector<float> part(acc.size());
+    for (std::int64_t e = rows * ci / chunks * n;
+         e < rows * (ci + 1) / chunks * n; ++e) {
+      std::int64_t off = 0, rest = e;
+      for (auto d = dims.rbegin(); d != dims.rend(); ++d) {
+        if (db.shape().has(d->name)) {
+          off += rest % d->extent * db.stride(d->name);
+        }
+        rest /= d->extent;
+      }
+      part[static_cast<std::size_t>(off)] += float(dy.data()[e]);
+    }
+    for (std::size_t k = 0; k < acc.size(); ++k) acc[k] += part[k];
+  }
+  for (std::int64_t k = 0; k < db.size(); ++k) {
+    db.data()[k] = T(acc[static_cast<std::size_t>(k)]);
+  }
+}
+
+// [ubj] with the bias over u broadcasts along the innermost dim (the
+// scalar chain); [bju] puts the bias dim innermost (the element-wise add).
+// Rows of 300 cross the fold's 256-element conversion chunk, and
+// 2 * 70 rows make the full 64 reduction chunks.
+struct BiasFoldCase {
+  Shape hi, lo;
+};
+const BiasFoldCase kBiasFoldCases[] = {
+    {Shape("ibj", {7, 2, 300}), Shape("ubj", {10, 2, 300})},
+    {Shape("bji", {2, 70, 300}), Shape("bju", {2, 70, 300})},
+};
+
+template <typename T>
+void ExpectBiasFoldsMatchSerialFold(const BiasFoldCase& c) {
+  const auto dy_hi = Tensor<T>::Random(c.hi, 40);
+  const auto dy_lo = Tensor<T>::Random(c.lo, 41);
+  const auto relu_saved = Tensor<T>::Random(c.lo, 42);
+  const DropoutMask mask(43, 0.35f);
+  Tensor<T> dummy(c.lo), drop_mask(c.lo);
+  DropoutForward(relu_saved, mask, dummy, drop_mask);
+  const float keep_scale = mask.Scale();
+  const Shape i_shape("i", {c.hi.extent('i')});
+  const Shape u_shape("u", {c.lo.extent('u')});
+
+  // The unfused dX, element by element, then the serial folds.
+  Tensor<T> d_x_ref(c.lo);
+  for (std::int64_t e = 0; e < d_x_ref.size(); ++e) {
+    const float dd = float(T(float(dy_lo.data()[e]) *
+                             float(drop_mask.data()[e]) * keep_scale));
+    d_x_ref.data()[e] =
+        float(relu_saved.data()[e]) > 0.0f ? T(dd) : T(0.0f);
+  }
+  Tensor<T> d_b_hi_ref(i_shape), d_b_lo_ref(u_shape);
+  SerialBiasFold(dy_hi, d_b_hi_ref);
+  SerialBiasFold(d_x_ref, d_b_lo_ref);
+
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(::testing::Message()
+                 << ToString(c.lo) << ", " << threads << " threads");
+    ThreadGuard guard(threads);
+    Tensor<T> d_b_hi(i_shape), d_b_lo(u_shape);
+    BiasBackwardDW(dy_hi, d_b_hi);
+    BiasBackwardDW(d_x_ref, d_b_lo);
+    EXPECT_TRUE(BitwiseSame(d_b_hi_ref, d_b_hi));
+    EXPECT_TRUE(BitwiseSame(d_b_lo_ref, d_b_lo));
+
+    Tensor<T> d_b_hi_f(i_shape), d_x_f(c.lo), d_b_lo_f(u_shape);
+    BiasDropoutReluBiasBackward(dy_hi, dy_lo, drop_mask, relu_saved,
+                                keep_scale, d_b_hi_f, d_x_f, d_b_lo_f);
+    EXPECT_TRUE(BitwiseSame(d_b_hi_ref, d_b_hi_f));
+    EXPECT_TRUE(BitwiseSame(d_x_ref, d_x_f));
+    EXPECT_TRUE(BitwiseSame(d_b_lo_ref, d_b_lo_f));
+  }
+}
+
+TEST(BiasFolds, MatchSerialFoldBitwise) {
+  for (const auto& c : kBiasFoldCases) {
+    ExpectBiasFoldsMatchSerialFold<Half>(c);
+    ExpectBiasFoldsMatchSerialFold<float>(c);
+  }
 }
 
 TEST(FusedEBSB, MatchesResidualThenLayerNormDw) {

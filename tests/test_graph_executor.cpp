@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,6 +65,13 @@ TEST(GraphExecutor, ScheduleAndBoundary) {
   EXPECT_EQ(unfused_exec.num_steps(), static_cast<int>(g.ops().size()));
   EXPECT_LT(fused_exec.num_steps(), unfused_exec.num_steps());
 }
+
+// The step runners hold the executor's address, so a moved-to executor
+// would dispatch on the moved-from one: moving is a compile error.
+static_assert(!std::is_copy_constructible_v<graph::GraphExecutor>);
+static_assert(!std::is_copy_assignable_v<graph::GraphExecutor>);
+static_assert(!std::is_move_constructible_v<graph::GraphExecutor>);
+static_assert(!std::is_move_assignable_v<graph::GraphExecutor>);
 
 TEST(GraphExecutor, BorrowsItsArenasGraph) {
   LayerFixture f;

@@ -5,31 +5,18 @@
 // not merely close -- at 1, 2 and 8 threads, across layouts and dtypes.
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
 #include "ops/elementwise.hpp"
 #include "ops/fused.hpp"
 #include "ops/layernorm.hpp"
 #include "ops/softmax.hpp"
+#include "test_util.hpp"
 
 namespace xflow {
 namespace {
 
-template <typename T>
-::testing::AssertionResult BitwiseSame(const Tensor<T>& a,
-                                       const Tensor<T>& b) {
-  if (a.size() != b.size()) {
-    return ::testing::AssertionFailure() << "size mismatch";
-  }
-  if (std::memcmp(a.data(), b.data(),
-                  static_cast<std::size_t>(a.size()) * sizeof(T)) != 0) {
-    return ::testing::AssertionFailure()
-           << "buffers differ (max abs diff " << MaxAbsDiff(a, b) << ")";
-  }
-  return ::testing::AssertionSuccess();
-}
+using testutil::BitwiseSame;
 
 class OpsThreadedDeterminism : public ::testing::Test {
  protected:

@@ -132,6 +132,21 @@ TEST(ThreadPool, RejectsThreadCountsAboveTheMaximum) {
   }
 }
 
+TEST(ThreadPool, RejectsA64BitThreadCountWithoutNarrowingIt) {
+  // 2^32 + 1 narrows to 1 as an int; the global pool must see the typed
+  // value and refuse it by name.
+  const std::int64_t threads = (std::int64_t{1} << 32) + 1;
+  const int before = ThreadPool::Global().threads();
+  try {
+    ThreadPool::SetGlobalThreads(threads);
+    ADD_FAILURE() << "the global pool accepted the count";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("4294967297"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ThreadPool::Global().threads(), before);
+}
+
 TEST(ThreadPool, ResolveGlobalThreadsIsPositive) {
   EXPECT_GE(ThreadPool::ResolveGlobalThreads(), 1);
 }

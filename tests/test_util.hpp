@@ -1,11 +1,46 @@
-// Shared test helpers: finite-difference gradient checking.
+// Shared test helpers: finite-difference gradient checking, bitwise
+// tensor comparison and a scoped global thread count.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstring>
 #include <functional>
 
+#include "common/threadpool.hpp"
 #include "tensor/tensor.hpp"
 
 namespace xflow::testutil {
+
+/// Whether two tensors of one layout hold the same bytes: -0 differs from
+/// +0 and NaN payloads count, unlike MaxAbsDiff == 0.
+template <typename T>
+::testing::AssertionResult BitwiseSame(const Tensor<T>& a,
+                                       const Tensor<T>& b) {
+  if (a.shape() != b.shape()) {
+    return ::testing::AssertionFailure()
+           << "shapes differ: " << ToString(a.shape()) << " vs "
+           << ToString(b.shape());
+  }
+  if (std::memcmp(a.data(), b.data(),
+                  static_cast<std::size_t>(a.size()) * sizeof(T)) != 0) {
+    return ::testing::AssertionFailure()
+           << "buffers differ (max abs diff " << MaxAbsDiff(a, b) << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Sets the global pool's thread count for one scope, then restores the
+/// resolved default.
+class ThreadGuard {
+ public:
+  explicit ThreadGuard(int threads) { ThreadPool::SetGlobalThreads(threads); }
+  ~ThreadGuard() {
+    ThreadPool::SetGlobalThreads(ThreadPool::ResolveGlobalThreads());
+  }
+  ThreadGuard(const ThreadGuard&) = delete;
+  ThreadGuard& operator=(const ThreadGuard&) = delete;
+};
 
 /// Central-difference numerical gradient of scalar `loss` w.r.t. `param`.
 /// `loss` must be a pure function of the current contents of `param`.
